@@ -12,11 +12,13 @@
 //   GT_TRACE=path     -> record a binary causal trace (equivalent: --trace
 //                        <path>; inspect with tools/trace_analyze, export to
 //                        Perfetto with its --perfetto flag)
-//   GT_SIMD=level     -> gossip kernel ISA: off|scalar|auto|avx2|avx512|neon
+//   GT_SIMD=level     -> VectorGossip kernel ISA: off|scalar|auto|avx2|avx512
 //                        (default auto = best the CPU supports; results are
 //                        bit-identical at every level — this only moves
 //                        speed, which is exactly what the scalar-vs-SIMD
-//                        bench pairs measure)
+//                        bench pairs measure). SIMD lives only in
+//                        VectorGossip; the sharded engine is plain loops,
+//                        and NEON returns with an aarch64 runner.
 #pragma once
 
 #include <cstdio>

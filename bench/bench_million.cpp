@@ -11,9 +11,12 @@
 //                       store) / n
 //
 // Output is one JSON document on stdout (scripts/bench_record.py folds it
-// into BENCH_6.json); progress narration goes to stderr. GT_QUICK=1
-// shrinks to the CI-gated 50k-node case; GT_MILLION_N overrides n
-// explicitly; GT_THREADS sets the worker count (default 1).
+// into BENCH_6.json); progress narration goes to stderr. The bench takes
+// no arguments (any argument is rejected). GT_QUICK=1 shrinks to the
+// CI-gated 50k-node case; GT_MILLION_N overrides n explicitly (>= 2);
+// GT_THREADS sets the worker count (>= 1, default 1). A value that is not
+// a whole number in range exits 2 with a message rather than falling back.
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -32,28 +35,40 @@ using namespace gt;
 
 namespace {
 
-std::size_t env_n() {
-  if (const char* raw = std::getenv("GT_MILLION_N")) {
-    const long long v = std::atoll(raw);
-    if (v >= 2) return static_cast<std::size_t>(v);
+/// Strict whole-number env knob: unset or empty -> fallback; otherwise
+/// the value must be all decimal digits, fit in size_t and be >= min, or
+/// the bench exits 2 naming the variable.
+std::size_t env_count(const char* name, std::size_t min,
+                      std::size_t fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(raw, &end, 10);
+  if (*raw < '0' || *raw > '9' || *end != '\0' || errno == ERANGE ||
+      v < min) {
+    std::fprintf(stderr,
+                 "bench_million: %s='%s' is not a whole number >= %zu\n",
+                 name, raw, min);
+    std::exit(2);
   }
-  return quick_mode() ? 50'000 : 1'000'000;
-}
-
-std::size_t env_threads() {
-  if (const char* raw = std::getenv("GT_THREADS")) {
-    const long long v = std::atoll(raw);
-    if (v >= 1) return static_cast<std::size_t>(v);
-  }
-  return 1;
+  return static_cast<std::size_t>(v);
 }
 
 }  // namespace
 
-int main() {
-  const std::size_t n = env_n();
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr,
+                 "bench_million: unexpected argument '%s' (the bench takes "
+                 "none; use GT_QUICK=1, GT_MILLION_N, GT_THREADS)\n",
+                 argv[1]);
+    return 2;
+  }
   const bool quick = quick_mode();
-  const std::size_t threads = env_threads();
+  const std::size_t n =
+      env_count("GT_MILLION_N", 2, quick ? 50'000 : 1'000'000);
+  const std::size_t threads = env_count("GT_THREADS", 1, 1);
   const char* mode = quick ? "quick" : "full";
   std::fprintf(stderr, "bench_million: n=%zu mode=%s threads=%zu\n", n, mode,
                threads);
@@ -125,7 +140,6 @@ int main() {
   std::printf("      \"n\": %zu,\n", n);
   std::printf("      \"shards\": %zu,\n", eng.num_shards());
   std::printf("      \"threads\": %zu,\n", threads);
-  std::printf("      \"simd\": \"%s\",\n", simd::level_name(eng.simd_level()));
   std::printf("      \"converged\": %s,\n", res.converged ? "true" : "false");
   std::printf("      \"windows\": %llu,\n",
               static_cast<unsigned long long>(res.windows));

@@ -52,17 +52,16 @@ the observability plane) must stay within the 2% budget:
 
 --simd switches to the SIMD-kernel trajectory (BENCH_8.json): it runs the
 scalar/SIMD bench pairs in bench_micro_perf (BM_GossipStep*,
-BM_ResidualSweep*, BM_ShardedGossip*) and folds each pair into one case
-carrying the dispatched SIMD level, both rates, and speedup_vs_scalar.
-The gossip-step case records floor_speedup: 4.0 — a --check run fails
-unless the vector kernels hold at least 4x over the honest scalar oracle,
-as an absolute floor like the serve-path lookup rate. With --million the
-sharded engine additionally runs twice (GT_SIMD=off, then GT_SIMD=auto)
-and the end-to-end events/s win is recorded alongside:
+BM_ResidualSweep*) and folds each pair into one case carrying the
+dispatched SIMD level, both rates, and speedup_vs_scalar. The gossip-step
+case records floor_speedup: 4.0 — a --check run fails unless the vector
+kernels hold at least 4x over the honest scalar oracle, as an absolute
+floor like the serve-path lookup rate. Only VectorGossip dispatches, so
+--simd takes no --million (the sharded engine has one code path; its
+events/s is gated in BENCH_6):
 
     python3 scripts/bench_record.py --simd \
         --bench build/bench/bench_micro_perf \
-        --million build/bench/bench_million \
         --check results/BENCH_8.json --out BENCH_8.json
 
 A missing or malformed baseline fails with a one-line diagnosis (exit 1),
@@ -78,7 +77,6 @@ it as a perf gate). No third-party deps.
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 
@@ -97,14 +95,12 @@ FILTER = "|".join(dict.fromkeys(n.split("/")[0] for n in CASES))
 # The scalar/SIMD pairs recorded in BENCH_8.json: (case, scalar bench,
 # simd bench, hard speedup floor or None). The gossip-step pair composes
 # only the streaming mul/add kernels, so lane width is the whole story and
-# 4x is gated as an absolute floor; the division-bound residual sweep and
-# the event-loop-bound sharded engine are recorded without a floor.
+# 4x is gated as an absolute floor; the division-bound residual sweep is
+# recorded without a floor.
 SIMD_PAIRS = (
     ("BM_GossipStep", "BM_GossipStepScalar", "BM_GossipStepSimd", 4.0),
     ("BM_ResidualSweep", "BM_ResidualSweepScalar", "BM_ResidualSweepSimd",
      None),
-    ("BM_ShardedGossip/2000", "BM_ShardedGossipScalar/2000",
-     "BM_ShardedGossipSimd/2000", None),
 )
 SIMD_FILTER = "|".join(dict.fromkeys(
     n.split("/")[0] for pair in SIMD_PAIRS for n in pair[1:3]))
@@ -218,55 +214,6 @@ def fold_simd(report):
             case["floor_speedup"] = floor
         cases[name] = case
     return cases
-
-
-def run_million_pair(bench):
-    """Run bench_million under GT_SIMD=off then GT_SIMD=auto and fold the
-    end-to-end events/s of each case into a scalar-vs-SIMD comparison."""
-    def one(level):
-        env = dict(os.environ)
-        env["GT_SIMD"] = level
-        try:
-            proc = subprocess.run([bench], capture_output=True, text=True,
-                                  check=True, env=env)
-        except OSError as exc:
-            raise SystemExit(f"bench_record: cannot run {bench}: {exc}")
-        except subprocess.CalledProcessError as exc:
-            sys.stderr.write(exc.stderr)
-            raise SystemExit(f"bench_record: {bench} (GT_SIMD={level}) "
-                             f"exited {exc.returncode}")
-        sys.stderr.write(proc.stderr)
-        try:
-            doc = json.loads(proc.stdout)
-        except ValueError as exc:
-            raise SystemExit(f"bench_record: {bench} emitted bad JSON: {exc}")
-        cases = doc.get("cases", {})
-        if not cases:
-            raise SystemExit(f"bench_record: {bench} reported no cases")
-        return cases
-
-    scalar_cases = one("off")
-    simd_cases = one("auto")
-    folded = {}
-    for name, simd_case in simd_cases.items():
-        scalar_case = scalar_cases.get(name)
-        if scalar_case is None:
-            raise SystemExit(f"bench_record: bench_million case {name} "
-                             "present under GT_SIMD=auto but not GT_SIMD=off")
-        simd_rate = simd_case.get("events_per_sec")
-        scalar_rate = scalar_case.get("events_per_sec")
-        if not simd_rate or not scalar_rate:
-            raise SystemExit(f"bench_record: bench_million case {name} "
-                             "reported no events_per_sec")
-        folded[f"{name}/simd"] = {
-            "simd": simd_case.get("simd", "unknown"),
-            "events_per_sec": simd_rate,
-            "events_per_sec_scalar": scalar_rate,
-            "ns_per_event": 1e9 / simd_rate,
-            "speedup_vs_scalar": simd_rate / scalar_rate,
-            "gated": simd_case.get("gated", False),
-        }
-    return folded
 
 
 def load_baseline(path):
@@ -425,9 +372,7 @@ def main():
                          "this repload binary with --bench (BENCH_7.json)")
     ap.add_argument("--simd", action="store_true",
                     help="record the SIMD-kernel trajectory instead: run the "
-                         "scalar/SIMD bench pairs (BENCH_8.json); with "
-                         "--million also compare bench_million under "
-                         "GT_SIMD=off vs auto")
+                         "scalar/SIMD bench pairs (BENCH_8.json)")
     ap.add_argument("--serve-seconds", type=float, default=1.0,
                     help="--bench-seconds per serve case (default 1.0)")
     ap.add_argument("--out", default="BENCH_6.json",
@@ -442,22 +387,22 @@ def main():
                     help="benchmark repetitions; the median is recorded "
                          "(default 3, use 1 for a quick look)")
     args = ap.parse_args()
+    if args.simd and args.million:
+        ap.error("--simd takes no --million: the sharded engine does not "
+                 "dispatch SIMD; gate bench_million in BENCH_6 instead")
 
     if args.simd:
         report = run_bench(args.bench, args.min_time, args.repetitions,
                            bench_filter=SIMD_FILTER, aggregates_only=False)
         cases = fold_simd(report)
-        if args.million:
-            cases.update(run_million_pair(args.million))
         if args.out == "BENCH_6.json":  # default --out follows the mode
             args.out = "BENCH_8.json"
         doc = {
             "schema": "gossiptrust-bench-8",
-            "bench": "bench_micro_perf scalar/SIMD pairs"
-                     " + bench_million GT_SIMD off/auto",
+            "bench": "bench_micro_perf scalar/SIMD pairs",
             "units": {"ns_per_event": "nanoseconds (SIMD level)",
                       "events_per_sec": "items/s at the dispatched level",
-                      "events_per_sec_scalar": "items/s with GT_SIMD=off",
+                      "events_per_sec_scalar": "items/s, forced scalar",
                       "speedup_vs_scalar": "events_per_sec ratio",
                       "floor_speedup":
                           "hard minimum speedup gated by --check"},

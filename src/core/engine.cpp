@@ -93,7 +93,6 @@ CycleStats GossipTrustEngine::run_cycle(const trust::SparseMatrix& s,
   ps.loss_probability = config_.loss_probability;
   ps.neighbors_only = config_.neighbors_only;
   ps.num_threads = config_.num_threads;
-  ps.simd_level = config_.simd_level;
 
   gossip::VectorGossip gossip(n_, ps, pool_.get());
   if (alive != nullptr) gossip.set_participants(*alive);

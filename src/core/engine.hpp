@@ -43,9 +43,6 @@ struct GossipTrustConfig {
   bool neighbors_only = false;     ///< restrict gossip targets to overlay neighbors
   bool keep_final_views = false;   ///< retain per-node views of the last cycle
   std::size_t num_threads = 1;     ///< gossip kernel lanes (0 = hardware concurrency)
-  simd::SimdLevel simd_level = simd::SimdLevel::kAuto;
-                                   ///< gossip kernel ISA (GT_SIMD env wins;
-                                   ///< bit-identical at every level)
   /// Graceful degradation: when a cycle's gossip fails to reach epsilon-
   /// stability within max_gossip_steps, fall back to the previous cycle's
   /// reputation vector and flag the cycle `degraded` instead of silently

@@ -41,9 +41,10 @@ struct PushSumConfig {
                                     ///< (false = one message per triplet; same
                                     ///< math, different traffic accounting)
   simd::SimdLevel simd_level = simd::SimdLevel::kAuto;
-                                    ///< kernel ISA for the dense sweeps;
-                                    ///< resolved via simd::resolve_level at
-                                    ///< construction (GT_SIMD env wins).
+                                    ///< VectorGossip kernel ISA — the only
+                                    ///< engine that dispatches; resolved via
+                                    ///< simd::resolve_level at construction
+                                    ///< (GT_SIMD env wins).
                                     ///< Never changes results — all kernels
                                     ///< are bit-identical to scalar.
 };

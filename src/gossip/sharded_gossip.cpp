@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -107,15 +106,30 @@ double ShardedMassSummary::max_gap() const {
 ShardedGossip::ShardedGossip(const graph::CsrView& csr,
                              ShardedGossipConfig config)
     : csr_(csr), cfg_(config), n_(csr.num_nodes()), k_(config.components) {
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
   if (k_ == 0) throw std::invalid_argument("ShardedGossip: components == 0");
-  if (!(cfg_.period > 0.0))
-    throw std::invalid_argument("ShardedGossip: period must be positive");
-  if (!(cfg_.base_latency > 0.0))
+  if (!positive(cfg_.period))
     throw std::invalid_argument(
-        "ShardedGossip: base_latency must be positive — it is the "
-        "conservative lookahead bound");
-  simd_level_ = simd::resolve_level(cfg_.simd_level);
-  kn_ = &simd::kernels(simd_level_);
+        "ShardedGossip: period must be finite and positive");
+  if (!positive(cfg_.base_latency))
+    throw std::invalid_argument(
+        "ShardedGossip: base_latency must be finite and positive — it is "
+        "the conservative lookahead bound");
+  // stable_count_ is 16-bit and saturates at 65535, so a larger target
+  // (or 0, where every node counts as stable before and after each push
+  // and stable_nodes never moves) could never be reached.
+  if (cfg_.stable_rounds == 0 ||
+      cfg_.stable_rounds > std::numeric_limits<std::uint16_t>::max())
+    throw std::invalid_argument(
+        "ShardedGossip: stable_rounds must be in [1, 65535]");
+  if (!(std::isfinite(cfg_.epsilon) && cfg_.epsilon >= 0.0))
+    throw std::invalid_argument(
+        "ShardedGossip: epsilon must be finite and non-negative");
+  // run() stops at `window_start >= horizon`, which a NaN or infinite
+  // horizon never satisfies.
+  if (!positive(cfg_.horizon))
+    throw std::invalid_argument(
+        "ShardedGossip: horizon must be finite and positive");
   threads_ = cfg_.threads != 0
                  ? cfg_.threads
                  : std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -157,18 +171,6 @@ void ShardedGossip::initialize(std::span<const std::uint32_t> comp,
   prev_ratio_.assign(slots, kNaN);
   stable_count_.assign(n_, 0);
   push_count_.assign(n_, 0);
-  // Pad the SoA tails to the kernel granularity (benign values, outside
-  // every logical slot index) and assert the aligned allocator delivered.
-  const std::size_t padded = simd::padded_size(slots);
-  comp_.resize(padded, 0);
-  x_.resize(padded, 0.0);
-  w_.resize(padded, 0.0);
-  prev_ratio_.resize(padded, kNaN);
-  simd::assert_aligned(comp_.data(), simd::kAlignment, "ShardedGossip::comp_");
-  simd::assert_aligned(x_.data(), simd::kAlignment, "ShardedGossip::x_");
-  simd::assert_aligned(w_.data(), simd::kAlignment, "ShardedGossip::w_");
-  simd::assert_aligned(prev_ratio_.data(), simd::kAlignment,
-                       "ShardedGossip::prev_ratio_");
 
   const std::size_t num_comp = slots != 0 ? max_comp + 1u : 0;
   initial_x_.assign(num_comp, 0.0);
@@ -270,8 +272,10 @@ void ShardedGossip::push_event(std::uint32_t node, Shard& sh) {
 
     // Halve the resident state; the other halves are the wire shares.
     const std::size_t base = static_cast<std::size_t>(node) * k_;
-    kn_->halve(x_.data() + base, k_);
-    kn_->halve(w_.data() + base, k_);
+    for (std::size_t c = 0; c < k_; ++c) {
+      x_[base + c] *= 0.5;
+      w_[base + c] *= 0.5;
+    }
     ++sh.ctr.sends;
 
     if (timeline_.any() && timeline_.path_blocked(node, to, t)) {
@@ -336,18 +340,10 @@ void ShardedGossip::apply_payload(Shard& sh, std::uint32_t to,
                                   const std::uint32_t* comp, const double* x,
                                   const double* w) {
   const std::size_t base = static_cast<std::size_t>(to) * k_;
-  // Fast path: homogeneous layouts (the fig3 workload) keep component c in
-  // slot c on every node — the whole payload applies as two elementwise
-  // vector adds when the id blocks match byte-for-byte.
-  if (std::memcmp(comp, comp_.data() + base, k_ * sizeof(std::uint32_t)) ==
-      0) {
-    kn_->add(x_.data() + base, x, k_);
-    kn_->add(w_.data() + base, w, k_);
-    return;
-  }
   for (std::size_t c = 0; c < k_; ++c) {
     const std::uint32_t id = comp[c];
-    // Heterogeneous fallback: slot-aligned probe first, K-wide scan after.
+    // Fast path: homogeneous layouts (the fig3 workload) keep component c
+    // in slot c on every node; fall back to a K-wide scan otherwise.
     std::size_t slot = k_;
     if (c < k_ && comp_[base + c] == id) {
       slot = c;
@@ -379,13 +375,21 @@ void ShardedGossip::destroy_payload(Shard& sh, const std::uint32_t* comp,
 
 void ShardedGossip::update_stability(std::uint32_t node, Shard& sh) {
   const std::size_t base = static_cast<std::size_t>(node) * k_;
-  // Vectorized K-wide sweep; simd::Kernels::residual_keep documents the
-  // exact per-element branch semantics this replaced (undefined weights
-  // leave prev untouched, NaN-safe epsilon compare).
-  const bool stable =
-      kn_->residual_keep(x_.data() + base, w_.data() + base,
-                         prev_ratio_.data() + base, kWeightFloor,
-                         cfg_.epsilon, k_);
+  // Per slot: an undefined weight (!(w > floor), NaN included) is unstable
+  // and leaves prev untouched; otherwise the slot is unstable unless
+  // |est - prev| <= eps (NaN-safe: a NaN prev is unstable) and prev = est.
+  bool stable = true;
+  for (std::size_t c = 0; c < k_; ++c) {
+    const double w = w_[base + c];
+    if (!(w > kWeightFloor)) {
+      stable = false;
+      continue;
+    }
+    const double est = x_[base + c] / w;
+    if (!(std::abs(est - prev_ratio_[base + c]) <= cfg_.epsilon))
+      stable = false;
+    prev_ratio_[base + c] = est;
+  }
   const bool was = stable_count_[node] >= cfg_.stable_rounds;
   if (stable) {
     if (stable_count_[node] < std::numeric_limits<std::uint16_t>::max())

@@ -48,7 +48,6 @@
 #include "fault/fault_timeline.hpp"
 #include "graph/csr.hpp"
 #include "sim/scheduler.hpp"
-#include "simd/kernels.hpp"
 
 namespace gt::gossip {
 
@@ -65,10 +64,6 @@ struct ShardedGossipConfig {
   std::size_t threads = 1;      ///< ThreadPool lanes (0 = hardware)
   std::size_t sample_every = 0; ///< windows between error-curve samples
                                 ///< (0 = no sampling)
-  simd::SimdLevel simd_level = simd::SimdLevel::kAuto;
-                                ///< kernel ISA for the SoA sweeps; resolved
-                                ///< via simd::resolve_level (GT_SIMD env
-                                ///< wins). Bit-identical at every level.
 };
 
 struct ShardedGossipResult {
@@ -103,8 +98,12 @@ struct ShardedMassSummary {
 
 class ShardedGossip {
  public:
-  /// `csr` must outlive the engine. Throws on components == 0, period or
-  /// base_latency <= 0, or a CSR/Config node count over 2^32 - 1.
+  /// `csr` must outlive the engine. Throws std::invalid_argument on
+  /// components == 0, a period or base_latency that is not finite and
+  /// positive, stable_rounds outside [1, 65535] (the per-node counter is
+  /// 16-bit), a negative or non-finite epsilon, or a horizon that is not
+  /// finite and positive — each would leave run() unable to converge or
+  /// to stop.
   ShardedGossip(const graph::CsrView& csr, ShardedGossipConfig config);
   ~ShardedGossip();
   ShardedGossip(const ShardedGossip&) = delete;
@@ -113,9 +112,6 @@ class ShardedGossip {
   std::size_t num_nodes() const noexcept { return n_; }
   std::size_t num_shards() const noexcept { return shards_count_; }
   std::size_t components() const noexcept { return k_; }
-
-  /// Resolved kernel ISA (cfg.simd_level after GT_SIMD / CPU resolution).
-  simd::SimdLevel simd_level() const noexcept { return simd_level_; }
 
   /// Seeds node state: slot (i, c) tracks component comp[i*K + c] with
   /// initial mass (x0[i*K + c], w0[i*K + c]). Component ids must be
@@ -180,16 +176,10 @@ class ShardedGossip {
   std::size_t shards_count_ = 0;
   std::size_t threads_ = 0;
 
-  // SoA triplet state: slot (i, c) lives at index i * K + c. Arrays are
-  // 64-byte aligned with tails padded to simd::padded_size (padding slots
-  // hold benign values and sit outside every logical index) so the
-  // vector kernels in push/apply/stability sweeps stay in-bounds.
-  simd::aligned_vector<std::uint32_t> comp_;
-  simd::aligned_vector<double> x_, w_;
-  simd::aligned_vector<double> prev_ratio_;
-
-  simd::SimdLevel simd_level_ = simd::SimdLevel::kScalar;  // resolved
-  const simd::Kernels* kn_ = nullptr;  // kernel set for simd_level_
+  // SoA triplet state: slot (i, c) lives at index i * K + c.
+  std::vector<std::uint32_t> comp_;
+  std::vector<double> x_, w_;
+  std::vector<double> prev_ratio_;
   std::vector<std::uint16_t> stable_count_;
   std::vector<std::uint32_t> push_count_;
 

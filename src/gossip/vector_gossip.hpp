@@ -123,7 +123,7 @@ class VectorGossip {
   const PushSumConfig& config() const noexcept { return config_; }
 
   /// Resolved kernel ISA for this instance (config.simd_level after
-  /// GT_SIMD / CPU-capability resolution): kScalar, kAvx2, or kNeon.
+  /// GT_SIMD / CPU-capability resolution): kScalar, kAvx2, or kAvx512.
   /// Informational only — every level computes bit-identical results.
   simd::SimdLevel simd_level() const noexcept { return simd_level_; }
 

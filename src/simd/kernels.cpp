@@ -1,4 +1,4 @@
-// Kernel implementations: scalar oracle + AVX2 + AVX-512 + NEON.
+// Kernel implementations: scalar oracle + AVX2 + AVX-512.
 //
 // This TU is compiled with -ffp-contract=off -fno-tree-vectorize
 // -fno-tree-slp-vectorize (see src/simd/CMakeLists.txt): the scalar
@@ -20,10 +20,6 @@
 #include <immintrin.h>
 #define GT_SIMD_X86 1
 #endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#define GT_SIMD_NEON 1
-#endif
 
 namespace gt::simd {
 namespace {
@@ -34,10 +30,6 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 // Scalar kernels (the oracle). Element semantics live here once; vector
 // paths reuse these loops for their tails.
 // ---------------------------------------------------------------------------
-
-void halve_scalar(double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] *= 0.5;
-}
 
 void scale_assign_scalar(double* dst, const double* src, double scale,
                          std::size_t n) {
@@ -75,24 +67,6 @@ bool residual_nan_scalar(const double* x, const double* w, double* prev,
   return stable;
 }
 
-/// One element of the ShardedGossip stability sweep.
-inline bool residual_keep_one(double x, double w, double* prev, double floor,
-                              double eps) {
-  if (!(w > floor)) return false;  // prev untouched
-  const double est = x / w;
-  const bool unstable = !(std::abs(est - *prev) <= eps);  // NaN-safe
-  *prev = est;
-  return !unstable;
-}
-
-bool residual_keep_scalar(const double* x, const double* w, double* prev,
-                          double floor, double eps, std::size_t n) {
-  bool stable = true;
-  for (std::size_t i = 0; i < n; ++i)
-    stable &= residual_keep_one(x[i], w[i], prev + i, floor, eps);
-  return stable;
-}
-
 inline void ratio_accumulate_one(double* acc, std::uint32_t* cnt, double x,
                                  double w, double floor) {
   if (w > floor) {
@@ -118,30 +92,11 @@ std::uint64_t count_nonzero_pair_scalar(const double* x, const double* w,
   return count;
 }
 
-/// Pinned 4-lane strided reduction — the scalar *definition* of the lane
-/// order every vector variant must reproduce: lane l sums elements
-/// i == l (mod 4) over the aligned prefix, lanes merge (l0+l1)+(l2+l3),
-/// the remainder folds left-to-right on top.
-double sum_scalar(const double* v, std::size_t n) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    l0 += v[i];
-    l1 += v[i + 1];
-    l2 += v[i + 2];
-    l3 += v[i + 3];
-  }
-  double s = (l0 + l1) + (l2 + l3);
-  for (std::size_t i = n4; i < n; ++i) s += v[i];
-  return s;
-}
-
 const Kernels kScalarKernels = {
-    SimdLevel::kScalar,     halve_scalar,
-    scale_assign_scalar,    accumulate_scaled_scalar,
-    add_scalar,             residual_nan_scalar,
-    residual_keep_scalar,   ratio_accumulate_scalar,
-    count_nonzero_pair_scalar, sum_scalar,
+    SimdLevel::kScalar,      scale_assign_scalar,
+    accumulate_scaled_scalar, add_scalar,
+    residual_nan_scalar,     ratio_accumulate_scalar,
+    count_nonzero_pair_scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -152,19 +107,6 @@ const Kernels kScalarKernels = {
 #ifdef GT_SIMD_X86
 
 #define GT_AVX2 __attribute__((target("avx2")))
-
-GT_AVX2 void halve_avx2(double* x, std::size_t n) {
-  const __m256d half = _mm256_set1_pd(0.5);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_pd(x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), half));
-    _mm256_storeu_pd(x + i + 4,
-                     _mm256_mul_pd(_mm256_loadu_pd(x + i + 4), half));
-  }
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), half));
-  halve_scalar(x + i, n - i);
-}
 
 GT_AVX2 void scale_assign_avx2(double* dst, const double* src, double scale,
                                std::size_t n) {
@@ -247,38 +189,6 @@ GT_AVX2 bool residual_nan_avx2(const double* x, const double* w, double* prev,
   return stable;
 }
 
-GT_AVX2 bool residual_keep_avx2(const double* x, const double* w, double* prev,
-                                double floor, double eps, std::size_t n) {
-  const __m256d floorv = _mm256_set1_pd(floor);
-  const __m256d epsv = _mm256_set1_pd(eps);
-  const __m256d absmask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  const __m256d ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  __m256d unstable_acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d wv = _mm256_loadu_pd(w + i);
-    const __m256d xv = _mm256_loadu_pd(x + i);
-    const __m256d pv = _mm256_loadu_pd(prev + i);
-    // defined := w > floor  (GT_OQ: NaN w -> undefined, like `!(w > floor)`)
-    const __m256d defined = _mm256_cmp_pd(wv, floorv, _CMP_GT_OQ);
-    const __m256d est = _mm256_div_pd(xv, wv);
-    // unstable for defined lanes := !(|est - prev| <= eps), NaN-safe
-    const __m256d diff = _mm256_and_pd(_mm256_sub_pd(est, pv), absmask);
-    const __m256d unstable_def = _mm256_cmp_pd(diff, epsv, _CMP_NLE_UQ);
-    const __m256d unstable =
-        _mm256_or_pd(_mm256_andnot_pd(defined, ones),
-                     _mm256_and_pd(defined, unstable_def));
-    unstable_acc = _mm256_or_pd(unstable_acc, unstable);
-    // prev untouched on undefined lanes
-    _mm256_storeu_pd(prev + i, _mm256_blendv_pd(pv, est, defined));
-  }
-  bool stable = _mm256_movemask_pd(unstable_acc) == 0;
-  for (; i < n; ++i)
-    stable &= residual_keep_one(x[i], w[i], prev + i, floor, eps);
-  return stable;
-}
-
 GT_AVX2 void ratio_accumulate_avx2(double* acc, std::uint32_t* cnt,
                                    const double* x, const double* w,
                                    double floor, std::size_t n) {
@@ -321,52 +231,23 @@ GT_AVX2 std::uint64_t count_nonzero_pair_avx2(const double* x, const double* w,
   return count + count_nonzero_pair_scalar(x + i, w + i, h, n - i);
 }
 
-GT_AVX2 double sum_avx2(const double* v, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4)
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(v + i));
-  // Merge in the pinned order (l0 + l1) + (l2 + l3).
-  const __m128d lo = _mm256_castpd256_pd128(acc);       // l0, l1
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);     // l2, l3
-  const __m128d s01 = _mm_add_sd(lo, _mm_unpackhi_pd(lo, lo));
-  const __m128d s23 = _mm_add_sd(hi, _mm_unpackhi_pd(hi, hi));
-  double s = _mm_cvtsd_f64(_mm_add_sd(s01, s23));
-  for (std::size_t i = n4; i < n; ++i) s += v[i];
-  return s;
-}
-
 const Kernels kAvx2Kernels = {
-    SimdLevel::kAvx2,       halve_avx2,
-    scale_assign_avx2,      accumulate_scaled_avx2,
-    add_avx2,               residual_nan_avx2,
-    residual_keep_avx2,     ratio_accumulate_avx2,
-    count_nonzero_pair_avx2, sum_avx2,
+    SimdLevel::kAvx2,       scale_assign_avx2,
+    accumulate_scaled_avx2, add_avx2,
+    residual_nan_avx2,      ratio_accumulate_avx2,
+    count_nonzero_pair_avx2,
 };
 
 // ---------------------------------------------------------------------------
-// AVX-512 kernels: 8 x f64 per register on the four streaming mul/add
+// AVX-512 kernels: 8 x f64 per register on the three streaming mul/add
 // sweeps — the store-bound hot loops where 512-bit width is pure win. The
-// predicate, ratio, and reduction kernels reuse the AVX2 forms above:
-// they are elementwise (or pinned-lane-order) so mixing widths inside one
-// dispatch table cannot change a single bit, and their scalar-divide /
-// movemask structure gains nothing from wider registers.
+// predicate and ratio kernels reuse the AVX2 forms above: they are
+// elementwise, so mixing widths inside one dispatch table cannot change a
+// single bit, and their divide / movemask structure gains nothing from
+// wider registers.
 // ---------------------------------------------------------------------------
 
 #define GT_AVX512 __attribute__((target("avx512f")))
-
-GT_AVX512 void halve_avx512(double* x, std::size_t n) {
-  const __m512d half = _mm512_set1_pd(0.5);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_pd(x + i, _mm512_mul_pd(_mm512_loadu_pd(x + i), half));
-    _mm512_storeu_pd(x + i + 8,
-                     _mm512_mul_pd(_mm512_loadu_pd(x + i + 8), half));
-  }
-  for (; i + 8 <= n; i += 8)
-    _mm512_storeu_pd(x + i, _mm512_mul_pd(_mm512_loadu_pd(x + i), half));
-  halve_scalar(x + i, n - i);
-}
 
 GT_AVX512 void scale_assign_avx512(double* dst, const double* src,
                                    double scale, std::size_t n) {
@@ -418,190 +299,13 @@ GT_AVX512 void add_avx512(double* dst, const double* src, std::size_t n) {
 }
 
 const Kernels kAvx512Kernels = {
-    SimdLevel::kAvx512,     halve_avx512,
-    scale_assign_avx512,    accumulate_scaled_avx512,
-    add_avx512,             residual_nan_avx2,
-    residual_keep_avx2,     ratio_accumulate_avx2,
-    count_nonzero_pair_avx2, sum_avx2,
+    SimdLevel::kAvx512,       scale_assign_avx512,
+    accumulate_scaled_avx512, add_avx512,
+    residual_nan_avx2,        ratio_accumulate_avx2,
+    count_nonzero_pair_avx2,
 };
 
 #endif  // GT_SIMD_X86
-
-// ---------------------------------------------------------------------------
-// NEON kernels: 2 x f64 registers, paired to the same 4 logical lanes.
-// aarch64 mandates AdvSIMD, so no runtime gate beyond the architecture.
-// ---------------------------------------------------------------------------
-#ifdef GT_SIMD_NEON
-
-void halve_neon(double* x, std::size_t n) {
-  const float64x2_t half = vdupq_n_f64(0.5);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f64(x + i, vmulq_f64(vld1q_f64(x + i), half));
-    vst1q_f64(x + i + 2, vmulq_f64(vld1q_f64(x + i + 2), half));
-  }
-  halve_scalar(x + i, n - i);
-}
-
-void scale_assign_neon(double* dst, const double* src, double scale,
-                       std::size_t n) {
-  const float64x2_t s = vdupq_n_f64(scale);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f64(dst + i, vmulq_f64(vld1q_f64(src + i), s));
-    vst1q_f64(dst + i + 2, vmulq_f64(vld1q_f64(src + i + 2), s));
-  }
-  scale_assign_scalar(dst + i, src + i, scale, n - i);
-}
-
-void accumulate_scaled_neon(double* dst, const double* src, double scale,
-                            std::size_t n) {
-  const float64x2_t s = vdupq_n_f64(scale);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // Explicit mul then add — vfmaq would fuse and break bit-identity.
-    const float64x2_t p0 = vmulq_f64(vld1q_f64(src + i), s);
-    const float64x2_t p1 = vmulq_f64(vld1q_f64(src + i + 2), s);
-    vst1q_f64(dst + i, vaddq_f64(vld1q_f64(dst + i), p0));
-    vst1q_f64(dst + i + 2, vaddq_f64(vld1q_f64(dst + i + 2), p1));
-  }
-  accumulate_scaled_scalar(dst + i, src + i, scale, n - i);
-}
-
-void add_neon(double* dst, const double* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f64(dst + i, vaddq_f64(vld1q_f64(dst + i), vld1q_f64(src + i)));
-    vst1q_f64(dst + i + 2,
-              vaddq_f64(vld1q_f64(dst + i + 2), vld1q_f64(src + i + 2)));
-  }
-  add_scalar(dst + i, src + i, n - i);
-}
-
-inline uint64x2_t not_u64(uint64x2_t v) {
-  return veorq_u64(v, vdupq_n_u64(~0ULL));
-}
-
-bool residual_nan_neon(const double* x, const double* w, double* prev,
-                       double floor, double eps, std::size_t n) {
-  const float64x2_t floorv = vdupq_n_f64(floor);
-  const float64x2_t epsv = vdupq_n_f64(eps);
-  const float64x2_t nanv = vdupq_n_f64(kNaN);
-  uint64x2_t unstable_acc = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t wv = vld1q_f64(w + i);
-    const float64x2_t xv = vld1q_f64(x + i);
-    const float64x2_t pv = vld1q_f64(prev + i);
-    // defined := !(w <= floor); vcleq is false on NaN, so NOT gives true.
-    const uint64x2_t defined = not_u64(vcleq_f64(wv, floorv));
-    const float64x2_t ratio = vdivq_f64(xv, wv);
-    // isnan(prev) == !(prev == prev)
-    const uint64x2_t prev_nan = not_u64(vceqq_f64(pv, pv));
-    const float64x2_t diff = vabsq_f64(vsubq_f64(ratio, pv));
-    const uint64x2_t moved = vcgtq_f64(diff, epsv);  // NaN -> false
-    const uint64x2_t unstable_def = vorrq_u64(prev_nan, moved);
-    const uint64x2_t unstable =
-        vorrq_u64(vbicq_u64(vdupq_n_u64(~0ULL), defined),
-                  vandq_u64(defined, unstable_def));
-    unstable_acc = vorrq_u64(unstable_acc, unstable);
-    vst1q_f64(prev + i, vbslq_f64(defined, ratio, nanv));
-  }
-  bool stable = (vgetq_lane_u64(unstable_acc, 0) |
-                 vgetq_lane_u64(unstable_acc, 1)) == 0;
-  for (; i < n; ++i)
-    stable &= residual_nan_one(x[i], w[i], prev + i, floor, eps);
-  return stable;
-}
-
-bool residual_keep_neon(const double* x, const double* w, double* prev,
-                        double floor, double eps, std::size_t n) {
-  const float64x2_t floorv = vdupq_n_f64(floor);
-  const float64x2_t epsv = vdupq_n_f64(eps);
-  uint64x2_t unstable_acc = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t wv = vld1q_f64(w + i);
-    const float64x2_t xv = vld1q_f64(x + i);
-    const float64x2_t pv = vld1q_f64(prev + i);
-    const uint64x2_t defined = vcgtq_f64(wv, floorv);  // NaN -> undefined
-    const float64x2_t est = vdivq_f64(xv, wv);
-    const float64x2_t diff = vabsq_f64(vsubq_f64(est, pv));
-    // !(|est - prev| <= eps), true on NaN
-    const uint64x2_t unstable_def = not_u64(vcleq_f64(diff, epsv));
-    const uint64x2_t unstable =
-        vorrq_u64(vbicq_u64(vdupq_n_u64(~0ULL), defined),
-                  vandq_u64(defined, unstable_def));
-    unstable_acc = vorrq_u64(unstable_acc, unstable);
-    vst1q_f64(prev + i, vbslq_f64(defined, est, pv));
-  }
-  bool stable = (vgetq_lane_u64(unstable_acc, 0) |
-                 vgetq_lane_u64(unstable_acc, 1)) == 0;
-  for (; i < n; ++i)
-    stable &= residual_keep_one(x[i], w[i], prev + i, floor, eps);
-  return stable;
-}
-
-void ratio_accumulate_neon(double* acc, std::uint32_t* cnt, const double* x,
-                           const double* w, double floor, std::size_t n) {
-  const float64x2_t floorv = vdupq_n_f64(floor);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t wv = vld1q_f64(w + i);
-    const uint64x2_t defined = vcgtq_f64(wv, floorv);
-    const std::uint64_t m0 = vgetq_lane_u64(defined, 0);
-    const std::uint64_t m1 = vgetq_lane_u64(defined, 1);
-    if ((m0 | m1) == 0) continue;
-    const float64x2_t ratio = vdivq_f64(vld1q_f64(x + i), wv);
-    const float64x2_t av = vld1q_f64(acc + i);
-    vst1q_f64(acc + i, vbslq_f64(defined, vaddq_f64(av, ratio), av));
-    cnt[i] += m0 & 1;
-    cnt[i + 1] += m1 & 1;
-  }
-  ratio_accumulate_scalar(acc + i, cnt + i, x + i, w + i, floor, n - i);
-}
-
-std::uint64_t count_nonzero_pair_neon(const double* x, const double* w,
-                                      double h, std::size_t n) {
-  const float64x2_t hv = vdupq_n_f64(h);
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  std::uint64_t count = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    // (h*v != 0) == !(h*v == 0); vceqq is false on NaN, NOT gives true.
-    const uint64x2_t nzx = not_u64(vceqq_f64(vmulq_f64(hv, vld1q_f64(x + i)), zero));
-    const uint64x2_t nzw = not_u64(vceqq_f64(vmulq_f64(hv, vld1q_f64(w + i)), zero));
-    const uint64x2_t nz = vorrq_u64(nzx, nzw);
-    count += (vgetq_lane_u64(nz, 0) & 1) + (vgetq_lane_u64(nz, 1) & 1);
-  }
-  return count + count_nonzero_pair_scalar(x + i, w + i, h, n - i);
-}
-
-double sum_neon(const double* v, std::size_t n) {
-  // Two 2-wide registers emulate the pinned 4-lane decomposition: acc01
-  // holds lanes 0/1, acc23 lanes 2/3.
-  float64x2_t acc01 = vdupq_n_f64(0.0);
-  float64x2_t acc23 = vdupq_n_f64(0.0);
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    acc01 = vaddq_f64(acc01, vld1q_f64(v + i));
-    acc23 = vaddq_f64(acc23, vld1q_f64(v + i + 2));
-  }
-  // vpaddd within a register is a single add: exactly (l0+l1), (l2+l3).
-  double s = vaddvq_f64(acc01) + vaddvq_f64(acc23);
-  for (std::size_t i = n4; i < n; ++i) s += v[i];
-  return s;
-}
-
-const Kernels kNeonKernels = {
-    SimdLevel::kNeon,       halve_neon,
-    scale_assign_neon,      accumulate_scaled_neon,
-    add_neon,               residual_nan_neon,
-    residual_keep_neon,     ratio_accumulate_neon,
-    count_nonzero_pair_neon, sum_neon,
-};
-
-#endif  // GT_SIMD_NEON
 
 }  // namespace
 
@@ -615,10 +319,6 @@ const Kernels& kernels(SimdLevel level) {
     case SimdLevel::kAvx512:
       if (level_supported(SimdLevel::kAvx512)) return kAvx512Kernels;
       break;
-#endif
-#ifdef GT_SIMD_NEON
-    case SimdLevel::kNeon:
-      return kNeonKernels;
 #endif
     default:
       break;

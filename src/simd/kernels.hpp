@@ -1,31 +1,28 @@
-// Vectorized kernels for the hot gossip loops, dispatched by SimdLevel.
+// Vectorized kernels for VectorGossip's dense hot loops, dispatched by
+// SimdLevel.
 //
-// Determinism contract: every kernel either
-//   (a) is *elementwise* — each output element is a pure function of the
-//       same-index input elements, computed with the exact IEEE-754
-//       operations of the scalar loop (no FMA contraction, no
-//       reassociation), so lane width cannot change a single bit; or
-//   (b) follows a *pinned lane decomposition* — `sum` splits the range
-//       into kLanes strided partial sums (lane l accumulates elements
-//       i == l mod 4 over the aligned prefix, combined as
-//       (l0 + l1) + (l2 + l3), then the scalar tail folds in order), and
-//       the scalar fallback replicates that exact order.
+// Determinism contract: every kernel is *elementwise* — each output
+// element is a pure function of the same-index input elements, computed
+// with the exact IEEE-754 operations of the scalar loop (no FMA
+// contraction, no reassociation), so lane width cannot change a single
+// bit. Count and all-stable results are order-free integer/boolean
+// folds of per-element outcomes.
 //
-// In consequence scalar, AVX2, AVX-512, and NEON results are bit-identical — the
+// In consequence scalar, AVX2 and AVX-512 results are bit-identical — the
 // BitIdentityGate goldens recorded on the scalar path stay valid at every
 // level, and scalar remains the always-on oracle. The kernels.cpp TU is
 // compiled with -ffp-contract=off -fno-tree-vectorize so the scalar
 // reference really is sequential scalar code even at -O3.
 //
-// NaN semantics are part of the contract: the residual kernels replicate
-// the exact branch predicates of the loops they replace (documented per
-// kernel), because an undefined weight or a first-step NaN prev-ratio is
-// a *normal* state in push-sum, not an error.
+// NaN semantics are part of the contract: the residual kernel replicates
+// the exact branch predicates of the loop it replaces, because an
+// undefined weight or a first-step NaN prev-ratio is a *normal* state in
+// push-sum, not an error.
 //
 // Pointer rules: all pointers may be unaligned (kernels use unaligned
-// loads; the SoA arrays are 64-byte aligned anyway for the fast path) and
-// `dst == src` aliasing is allowed for the elementwise kernels; partially
-// overlapping ranges are not.
+// loads; the dense arrays are 64-byte aligned anyway for the fast path)
+// and `dst == src` aliasing is allowed for the elementwise kernels;
+// partially overlapping ranges are not.
 #pragma once
 
 #include <cstddef>
@@ -40,9 +37,6 @@ namespace gt::simd {
 struct Kernels {
   SimdLevel level;
 
-  /// x[i] *= 0.5 — the push-half sweep.
-  void (*halve)(double* x, std::size_t n);
-
   /// dst[i] = scale * src[i] — the keep-half assignment (also used with
   /// dst == src as an in-place scale).
   void (*scale_assign)(double* dst, const double* src, double scale,
@@ -53,7 +47,7 @@ struct Kernels {
   void (*accumulate_scaled)(double* dst, const double* src, double scale,
                             std::size_t n);
 
-  /// dst[i] += src[i] — payload application / chunk-accumulator merge.
+  /// dst[i] += src[i] — the consensus-means chunk-accumulator merge.
   void (*add)(double* dst, const double* src, std::size_t n);
 
   /// VectorGossip bookkeeping sweep. For each i:
@@ -65,14 +59,6 @@ struct Kernels {
   bool (*residual_nan)(const double* x, const double* w, double* prev,
                        double floor, double eps, std::size_t n);
 
-  /// ShardedGossip stability sweep. For each i:
-  ///   if (!(w[i] > floor))  row unstable, prev[i] untouched;
-  ///   else est = x[i]/w[i]; unstable when !(|est - prev[i]| <= eps)
-  ///        (NaN-safe: a NaN prev is unstable); prev[i] = est.
-  /// Returns true when every element was stable.
-  bool (*residual_keep)(const double* x, const double* w, double* prev,
-                        double floor, double eps, std::size_t n);
-
   /// consensus_means read-out: for each i with w[i] > floor,
   /// acc[i] += x[i]/w[i] and ++cnt[i]; undefined slots untouched.
   void (*ratio_accumulate)(double* acc, std::uint32_t* cnt, const double* x,
@@ -82,12 +68,6 @@ struct Kernels {
   /// (NaN compares unequal to zero, matching the scalar `!=`).
   std::uint64_t (*count_nonzero_pair)(const double* x, const double* w,
                                       double h, std::size_t n);
-
-  /// Pinned-order reduction (contract (b) above): kLanes strided partial
-  /// sums over the aligned prefix, merged (l0+l1)+(l2+l3), scalar tail.
-  /// NOT a drop-in for a sequential left fold — callers adopt the lane
-  /// order explicitly (new call sites only; pinned by golden tests).
-  double (*sum)(const double* v, std::size_t n);
 };
 
 /// Kernel set for a level. kAuto resolves via resolve_level(); a concrete

@@ -14,8 +14,6 @@ const char* level_name(SimdLevel level) noexcept {
       return "scalar";
     case SimdLevel::kAvx2:
       return "avx2";
-    case SimdLevel::kNeon:
-      return "neon";
     case SimdLevel::kAvx512:
       return "avx512";
   }
@@ -27,10 +25,9 @@ SimdLevel parse_level(std::string_view token) {
   if (token == "auto") return SimdLevel::kAuto;
   if (token == "avx2") return SimdLevel::kAvx2;
   if (token == "avx512") return SimdLevel::kAvx512;
-  if (token == "neon") return SimdLevel::kNeon;
   throw std::invalid_argument(
       "GT_SIMD / SimdLevel: unknown value '" + std::string(token) +
-      "' (expected off|scalar|auto|avx2|avx512|neon)");
+      "' (expected off|scalar|auto|avx2|avx512)");
 }
 
 bool level_supported(SimdLevel level) noexcept {
@@ -47,16 +44,10 @@ bool level_supported(SimdLevel level) noexcept {
     case SimdLevel::kAvx512:
 #if defined(__x86_64__) || defined(_M_X64)
       // The avx512 table mixes 512-bit streaming kernels with the AVX2
-      // predicate/reduction kernels, so both feature bits must be present
+      // predicate kernels, so both feature bits must be present
       // (every shipping AVX-512 part has AVX2, but check, don't assume).
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case SimdLevel::kNeon:
-#if defined(__aarch64__)
-      return true;  // AdvSIMD is architecturally mandatory on aarch64
 #else
       return false;
 #endif
@@ -65,13 +56,9 @@ bool level_supported(SimdLevel level) noexcept {
 }
 
 SimdLevel detect_level() noexcept {
-#if defined(__aarch64__)
-  return SimdLevel::kNeon;
-#else
   if (level_supported(SimdLevel::kAvx512)) return SimdLevel::kAvx512;
   if (level_supported(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
   return SimdLevel::kScalar;
-#endif
 }
 
 SimdLevel resolve_level(SimdLevel configured) {

@@ -1,25 +1,25 @@
 // Portable fixed-width SIMD plumbing: level selection, runtime CPU
-// dispatch, and 64-byte-aligned storage for the SoA gossip state.
+// dispatch, and 64-byte-aligned storage for VectorGossip's dense state.
 //
 // Levels form a tiny closed set — scalar (always available, the
-// bit-identity oracle), AVX2 and AVX-512 (x86-64), NEON (aarch64) —
-// selected once per engine construction by resolve_level():
+// bit-identity oracle), AVX2 and AVX-512 (x86-64) — selected once per
+// VectorGossip construction by resolve_level(). VectorGossip is the only
+// engine that dispatches: the other push-sum engines are plain loops.
 //
 //   1. The GT_SIMD environment variable, when set, wins unconditionally
-//      (values: off | scalar | auto | avx2 | avx512 | neon; anything else
+//      (values: off | scalar | auto | avx2 | avx512; anything else
 //      throws).
 //      It is the operational kill-switch the CI scalar-fallback leg uses.
-//   2. Otherwise the configured SimdLevel (threaded through PushSumConfig /
-//      ShardedGossipConfig / GossipTrustConfig) applies.
+//   2. Otherwise the configured PushSumConfig::simd_level applies.
 //   3. kAuto resolves to the best level this CPU supports; a concrete
 //      level the CPU does *not* support degrades to kScalar rather than
 //      faulting on an illegal instruction.
 //
-// Every kernel behind this dispatch is elementwise or follows a pinned
-// lane decomposition (see kernels.hpp), so the resolved level never
-// changes results — only speed. That is asserted, not assumed: the
-// BitIdentityGate goldens and the scalar-vs-SIMD EXPECT_EQ sweeps run the
-// same inputs at every supported level.
+// Every kernel behind this dispatch is elementwise (see kernels.hpp), so
+// the resolved level never changes results — only speed. That is
+// asserted, not assumed: the BitIdentityGate goldens and the
+// scalar-vs-SIMD EXPECT_EQ sweeps run the same inputs at every supported
+// level.
 #pragma once
 
 #include <cstddef>
@@ -37,18 +37,17 @@ enum class SimdLevel : std::uint8_t {
   kAuto = 0,    ///< resolve to the best supported level at runtime
   kScalar = 1,  ///< portable scalar loops — the bit-identity oracle
   kAvx2 = 2,    ///< 4 x f64 AVX2 lanes (x86-64)
-  kNeon = 3,    ///< 2 x f64 NEON lanes, paired to 4 logical (aarch64)
   kAvx512 = 4,  ///< 8 x f64 AVX-512 lanes for the streaming mul/add
-                ///< kernels; predicate/reduction kernels reuse the AVX2
-                ///< forms (elementwise, so still bit-exact)
+                ///< kernels; the predicate kernels reuse the AVX2 forms
+                ///< (elementwise, so still bit-exact)
 };
 
-/// Stable lowercase name ("auto", "scalar", "avx2", "avx512", "neon") for
+/// Stable lowercase name ("auto", "scalar", "avx2", "avx512") for
 /// telemetry and bench records.
 const char* level_name(SimdLevel level) noexcept;
 
-/// Parses a GT_SIMD-style token: off | scalar | auto | avx2 | avx512 |
-/// neon ("off" is an alias for scalar). Throws std::invalid_argument on
+/// Parses a GT_SIMD-style token: off | scalar | auto | avx2 | avx512
+/// ("off" is an alias for scalar). Throws std::invalid_argument on
 /// anything else — a typo in the kill-switch must be loud, not a silent
 /// fallback to the fast path.
 SimdLevel parse_level(std::string_view token);
@@ -60,19 +59,13 @@ bool level_supported(SimdLevel level) noexcept;
 /// Best supported concrete level on this CPU.
 SimdLevel detect_level() noexcept;
 
-/// Resolution used by every engine at construction: GT_SIMD env override
+/// Resolution used by VectorGossip at construction: GT_SIMD env override
 /// first, then `configured`, kAuto -> detect_level(), unsupported concrete
 /// levels degrade to kScalar. Always returns a concrete supported level.
 SimdLevel resolve_level(SimdLevel configured);
 
-/// Logical lane count of the fixed-width layer: every reduction kernel
-/// decomposes into exactly 4 lanes regardless of the physical register
-/// width (AVX2 = one register, NEON = two), which is what keeps
-/// reduction orders identical across levels.
-inline constexpr std::size_t kLanes = 4;
-
-/// Alignment of the SoA state arrays: one cache line, a multiple of every
-/// vector width in play.
+/// Alignment of the dense state arrays: one cache line, a multiple of
+/// every vector width in play.
 inline constexpr std::size_t kAlignment = 64;
 
 /// Tail padding granularity in doubles: arrays are sized to a multiple of
@@ -86,7 +79,7 @@ constexpr std::size_t padded_size(std::size_t n) noexcept {
   return (n + kPadSlots - 1) / kPadSlots * kPadSlots;
 }
 
-/// Aborts with a message when `ptr` is not `alignment`-aligned. The SoA
+/// Aborts with a message when `ptr` is not `alignment`-aligned. The dense
 /// arrays assert this at construction: a quiet misalignment would only
 /// show up as a crash deep inside an aligned load.
 void assert_aligned(const void* ptr, std::size_t alignment, const char* what);
@@ -123,7 +116,7 @@ class AlignedAllocator {
   }
 };
 
-/// 64-byte-aligned vector for the SoA state arrays.
+/// 64-byte-aligned vector for the dense state arrays.
 template <typename T>
 using aligned_vector = std::vector<T, AlignedAllocator<T>>;
 

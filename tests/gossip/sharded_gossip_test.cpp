@@ -10,6 +10,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -293,6 +295,32 @@ TEST(ShardedGossip, ValidatesConfigAndLifecycle) {
   cfg = base_config();
   cfg.base_latency = 0.0;
   EXPECT_THROW(ShardedGossip(csr, cfg), std::invalid_argument);
+
+  // Values under which run() could never converge or never stop.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto rejects = [&](auto&& mutate, const char* what) {
+    ShardedGossipConfig bad = base_config();
+    mutate(bad);
+    EXPECT_THROW(ShardedGossip(csr, bad), std::invalid_argument) << what;
+  };
+  rejects([](auto& c) { c.stable_rounds = 0; }, "stable_rounds 0");
+  rejects([](auto& c) { c.stable_rounds = 65536; }, "stable_rounds 65536");
+  rejects([&](auto& c) { c.epsilon = kNaN; }, "epsilon NaN");
+  rejects([&](auto& c) { c.epsilon = kInf; }, "epsilon inf");
+  rejects([](auto& c) { c.epsilon = -1e-3; }, "epsilon negative");
+  rejects([&](auto& c) { c.horizon = kNaN; }, "horizon NaN");
+  rejects([&](auto& c) { c.horizon = kInf; }, "horizon inf");
+  rejects([](auto& c) { c.horizon = 0.0; }, "horizon 0");
+  rejects([](auto& c) { c.horizon = -5.0; }, "horizon negative");
+  rejects([&](auto& c) { c.period = kInf; }, "period inf");
+  rejects([&](auto& c) { c.base_latency = kNaN; }, "base_latency NaN");
+  // The edges of the accepted ranges still construct.
+  cfg = base_config();
+  cfg.stable_rounds = 65535;
+  cfg.epsilon = 0.0;
+  EXPECT_NO_THROW(ShardedGossip(csr, cfg));
+
   cfg = base_config();
   ShardedGossip eng(csr, cfg);
   EXPECT_THROW(eng.run(), std::logic_error);  // not initialized

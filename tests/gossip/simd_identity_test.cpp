@@ -1,9 +1,10 @@
-// Scalar-vs-SIMD bit-identity at the engine level: full VectorGossip and
-// ShardedGossip runs forced to kScalar and to every vector level this CPU
-// supports must produce the same trajectory to the last bit — every
-// per-node estimate, every counter, every consensus mean. This is the
-// end-to-end half of the determinism argument; the per-kernel sweeps live
-// in tests/simd/simd_test.cpp.
+// Scalar-vs-SIMD bit-identity at the engine level: full VectorGossip runs
+// forced to kScalar and to every vector level this CPU supports must
+// produce the same trajectory to the last bit — every per-node estimate,
+// every counter, every consensus mean. This is the end-to-end half of the
+// determinism argument; the per-kernel sweeps live in
+// tests/simd/simd_test.cpp. ShardedGossip does not dispatch at all: its
+// check here pins that the GT_SIMD kill-switch cannot move it.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,6 +18,7 @@
 #include "graph/csr.hpp"
 #include "graph/topology.hpp"
 #include "simd/simd.hpp"
+#include "support/scoped_simd_env.hpp"
 #include "trust/matrix.hpp"
 
 namespace gt::gossip {
@@ -28,8 +30,6 @@ std::vector<simd::SimdLevel> vector_levels() {
     levels.push_back(simd::SimdLevel::kAvx2);
   if (simd::level_supported(simd::SimdLevel::kAvx512))
     levels.push_back(simd::SimdLevel::kAvx512);
-  if (simd::level_supported(simd::SimdLevel::kNeon))
-    levels.push_back(simd::SimdLevel::kNeon);
   return levels;
 }
 
@@ -142,72 +142,27 @@ TEST(SimdIdentity, VectorGossipLossPathIdentical) {
     EXPECT_EQ(scalar, run(level)) << simd::level_name(level);
 }
 
-TEST(SimdIdentity, ShardedGossipScalarVsSimdAcrossKAndShards) {
-  const auto levels = vector_levels();
-  if (levels.empty()) GTEST_SKIP() << "scalar-only host";
-  Rng grng(11);
-  graph::Graph g = graph::make_erdos_renyi(96, 96 * 3, grng);
-  graph::make_connected(g, grng);
-  const graph::CsrView csr(g);
-  // K in {1, 3, 4, 5} hits the K-wide kernels' tail handling (K=1 pure
-  // tail, K=5 head+tail on NEON's 2-wide registers).
-  for (const std::size_t k : {1, 3, 4, 5}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      auto run = [&](simd::SimdLevel level) {
-        ShardedGossipConfig cfg;
-        cfg.components = k;
-        cfg.base_latency = 0.25;
-        cfg.jitter = 0.1;
-        cfg.epsilon = 1e-4;
-        cfg.stable_rounds = 3;
-        cfg.horizon = 120.0;
-        cfg.seed = 42;
-        cfg.shards = shards;
-        cfg.threads = 2;
-        cfg.simd_level = level;
-        ShardedGossip eng(csr, cfg);
-        EXPECT_EQ(eng.simd_level(), simd::resolve_level(level));
-        eng.initialize_fig3(7);
-        const auto res = eng.run();
-        std::vector<std::uint64_t> bits{res.events, res.pushes, res.sends,
-                                        res.deliveries,
-                                        static_cast<std::uint64_t>(res.converged)};
-        for (std::size_t i = 0; i < csr.num_nodes(); ++i)
-          for (std::size_t c = 0; c < k; ++c)
-            bits.push_back(std::bit_cast<std::uint64_t>(eng.estimate(i, c)));
-        const auto mass = eng.mass_summary();
-        EXPECT_LE(mass.max_gap(), 1e-9);
-        return bits;
-      };
-      const auto scalar = run(simd::SimdLevel::kScalar);
-      for (const simd::SimdLevel level : levels)
-        EXPECT_EQ(scalar, run(level))
-            << simd::level_name(level) << " K=" << k << " shards=" << shards;
-    }
-  }
-}
-
 TEST(SimdIdentity, HeterogeneousPayloadFallbackIdentical) {
-  // Nodes track permuted component ids so apply_payload's homogeneous
-  // memcmp fast path misses and the scan fallback runs — both levels must
-  // agree there too.
-  const auto levels = vector_levels();
-  if (levels.empty()) GTEST_SKIP() << "scalar-only host";
+  // Nodes track permuted component ids so apply_payload's slot-aligned
+  // probe misses and the K-wide scan runs. ShardedGossip's loops are plain
+  // C++, so neither the GT_SIMD level nor the shard grid may move a bit:
+  // a sharded run at the detected level must match the scalar single-queue
+  // oracle, and the mass ledger must close.
   Rng grng(13);
   graph::Graph g = graph::make_erdos_renyi(40, 120, grng);
   graph::make_connected(g, grng);
   const graph::CsrView csr(g);
   const std::size_t k = 4;
-  auto run = [&](simd::SimdLevel level) {
+  auto run = [&](const char* simd_env, std::size_t shards) {
+    test_support::ScopedSimdEnv env(simd_env);
     ShardedGossipConfig cfg;
     cfg.components = k;
     cfg.base_latency = 0.5;
     cfg.epsilon = 1e-4;
     cfg.horizon = 80.0;
     cfg.seed = 3;
-    cfg.shards = 2;
+    cfg.shards = shards;
     cfg.threads = 2;
-    cfg.simd_level = level;
     ShardedGossip eng(csr, cfg);
     const std::size_t n = csr.num_nodes();
     std::vector<std::uint32_t> comp(n * k);
@@ -221,15 +176,14 @@ TEST(SimdIdentity, HeterogeneousPayloadFallbackIdentical) {
       }
     eng.initialize(comp, x0, w0);
     const auto res = eng.run();
+    EXPECT_LE(eng.mass_summary().max_gap(), 1e-9);
     std::vector<std::uint64_t> bits{res.events, res.triplets_unmatched};
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t c = 0; c < k; ++c)
         bits.push_back(std::bit_cast<std::uint64_t>(eng.estimate(i, c)));
     return bits;
   };
-  const auto scalar = run(simd::SimdLevel::kScalar);
-  for (const simd::SimdLevel level : levels)
-    EXPECT_EQ(scalar, run(level)) << simd::level_name(level);
+  EXPECT_EQ(run("off", 1), run("auto", 2));
 }
 
 }  // namespace

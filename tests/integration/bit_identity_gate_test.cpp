@@ -33,7 +33,7 @@
 #include "graph/topology.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
-#include "simd/simd.hpp"
+#include "support/scoped_simd_env.hpp"
 #include "trust/feedback.hpp"
 #include "trust/generator.hpp"
 #include "trust/matrix.hpp"
@@ -76,15 +76,13 @@ trust::SparseMatrix gate_matrix(std::size_t n, std::uint64_t seed) {
 /// epsilon-stability for a few cycles; the hash covers the final scores
 /// plus every deterministic per-cycle record field (wall-clock phase
 /// timings are excluded — they are not part of the bit-identity contract).
-std::uint64_t engine_hash(std::size_t n, std::size_t threads,
-                          simd::SimdLevel simd = simd::SimdLevel::kAuto) {
+std::uint64_t engine_hash(std::size_t n, std::size_t threads) {
   const auto s = gate_matrix(n, 42);
   core::GossipTrustConfig cfg;
   cfg.epsilon = 1e-4;
   cfg.stable_rounds = 2;
   cfg.max_cycles = 3;
   cfg.num_threads = threads;
-  cfg.simd_level = simd;
   core::GossipTrustEngine engine(n, cfg);
   Rng rng(0xf16f3 + n);
   const auto res = engine.run(s, rng);
@@ -173,8 +171,7 @@ std::uint64_t async_hash(bool acks) {
 /// must match each other AND the pinned golden — the golden catches a
 /// determinism regression that breaks both paths identically.
 std::uint64_t sharded_hash(std::size_t n, std::size_t shards,
-                           std::size_t threads,
-                           simd::SimdLevel simd = simd::SimdLevel::kAuto) {
+                           std::size_t threads) {
   Rng grng(0x5eed + n);
   graph::Graph g = graph::make_erdos_renyi(n, n * 3, grng);
   graph::make_connected(g, grng);
@@ -192,7 +189,6 @@ std::uint64_t sharded_hash(std::size_t n, std::size_t shards,
   cfg.shards = shards;
   cfg.threads = threads;
   cfg.sample_every = 8;
-  cfg.simd_level = simd;
   gossip::ShardedGossip eng(csr, cfg);
   eng.initialize_fig3(7);
   const auto res = eng.run();
@@ -267,33 +263,27 @@ TEST(BitIdentityGate, ShardedGossipN512) {
 }
 
 // The SIMD kernels are elementwise transcriptions of the scalar oracle, so
-// the *same* goldens must hold at every level — no recapture. Forced
-// kScalar proves the fallback path is still the legacy behaviour (this is
-// what the CI GT_SIMD=off leg runs); the detected vector level proves the
-// intrinsics change nothing. On scalar-only hosts the second half is a
-// no-op repeat, which is fine: the contract is "every resolvable level".
+// the *same* goldens must hold at every level — no recapture. The engine
+// has no level field of its own, so the GT_SIMD kill-switch forces the
+// scalar fallback (proving it is still the legacy behaviour); the plain
+// run uses whatever level the environment resolves (the detected vector
+// level by default, scalar under the CI GT_SIMD=off leg).
 TEST(BitIdentityGate, EngineSimdLevelsMatchGolden) {
-  check("engine_n64_scalar", engine_hash(64, 8, simd::SimdLevel::kScalar),
-        0x17cc5f44ae2c0bf4ULL);
-  check("engine_n64_vector", engine_hash(64, 8, simd::detect_level()),
-        0x17cc5f44ae2c0bf4ULL);
-  check("engine_n512_scalar", engine_hash(512, 8, simd::SimdLevel::kScalar),
-        0xe02602e374f9bf07ULL);
-  check("engine_n512_vector", engine_hash(512, 8, simd::detect_level()),
-        0xe02602e374f9bf07ULL);
+  {
+    test_support::ScopedSimdEnv scalar("scalar");
+    check("engine_n64_scalar", engine_hash(64, 8), 0x17cc5f44ae2c0bf4ULL);
+    check("engine_n512_scalar", engine_hash(512, 8), 0xe02602e374f9bf07ULL);
+  }
+  check("engine_n64_vector", engine_hash(64, 8), 0x17cc5f44ae2c0bf4ULL);
+  check("engine_n512_vector", engine_hash(512, 8), 0xe02602e374f9bf07ULL);
 }
 
+// ShardedGossip runs plain loops and never dispatches: forcing the
+// kill-switch must leave both gate sizes on their goldens.
 TEST(BitIdentityGate, ShardedSimdLevelsMatchGolden) {
-  check("sharded_n64_scalar",
-        sharded_hash(64, 1, 1, simd::SimdLevel::kScalar),
-        0x92aadb162daee980ULL);
-  check("sharded_n64_vector", sharded_hash(64, 1, 1, simd::detect_level()),
-        0x92aadb162daee980ULL);
-  check("sharded_n512_scalar",
-        sharded_hash(512, 0, 8, simd::SimdLevel::kScalar),
-        0x0ae8bf223fb6e301ULL);
-  check("sharded_n512_vector", sharded_hash(512, 0, 8, simd::detect_level()),
-        0x0ae8bf223fb6e301ULL);
+  test_support::ScopedSimdEnv scalar("scalar");
+  check("sharded_n64", sharded_hash(64, 1, 1), 0x92aadb162daee980ULL);
+  check("sharded_n512", sharded_hash(512, 0, 8), 0x0ae8bf223fb6e301ULL);
 }
 
 }  // namespace

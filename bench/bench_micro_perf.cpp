@@ -391,24 +391,30 @@ BENCHMARK(BM_AsyncGossipConverge)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond)
 // runtime dispatch picked — and scripts/bench_record.py --simd folds the
 // pair into BENCH_8.json as a speedup ratio. The gated GossipStep pair
 // composes only the mul/add kernels of one dense gossip step (halve both
-// shares, fold a half-weight inbox, copy-scale + merge the read-out) over
-// an L1-resident vector; its composition has fixed point 1.0 so a billion
-// iterations never drift into denormals or infinities. The division-heavy
+// shares, fold a half-weight inbox with its payload count in one
+// accumulate_pair_count pass, copy-scale + merge the read-out) over an
+// L1-resident vector; its composition has fixed point 1.0 so a billion
+// iterations never drift into denormals or infinities. An item is one
+// element of one array sweep: the fused fold sweeps two arrays, so a pass
+// is six sweeps, as when the fold was two single-array calls. The division-heavy
 // residual sweep (VectorGossip's bookkeeping pass) is reported ungated:
 // its win is real but bounded by divide latency, not by lane count.
 // ShardedGossip has no pair: its K-wide loops are plain C++ (dispatch
 // measured at or below parity there), and bench_million gates it.
 
-constexpr std::size_t kStepKernelCalls = 6;
+constexpr std::size_t kStepArraySweeps = 6;
 
-void gossip_step_kernel_pass(const simd::Kernels& kn, double* x, double* w,
-                             double* y, const double* ones, std::size_t n) {
+std::uint64_t gossip_step_kernel_pass(const simd::Kernels& kn, double* x,
+                                      double* w, double* y,
+                                      const double* ones, std::size_t n) {
   kn.scale_assign(x, x, 0.5, n);  // halve in place
   kn.scale_assign(w, w, 0.5, n);
-  kn.accumulate_scaled(x, ones, 0.5, n);  // x = x/2 + 1/2 -> stays 1.0
-  kn.accumulate_scaled(w, ones, 0.5, n);
+  // x = x/2 + 1/2 -> stays 1.0 (same for w); counts n nonzero payloads.
+  const std::uint64_t payload =
+      kn.accumulate_pair_count(x, w, ones, ones, 0.5, n);
   kn.scale_assign(y, x, 1.0, n);
   kn.add(y, w, n);
+  return payload;
 }
 
 void bm_gossip_step(benchmark::State& state, simd::SimdLevel level) {
@@ -425,12 +431,12 @@ void bm_gossip_step(benchmark::State& state, simd::SimdLevel level) {
   double* ones = slab.data() + 3 * stride;
   for (std::size_t i = 0; i < n; ++i) y[i] = 0.0;
   for (auto _ : state) {
-    gossip_step_kernel_pass(kn, x, w, y, ones, n);
+    benchmark::DoNotOptimize(gossip_step_kernel_pass(kn, x, w, y, ones, n));
     benchmark::DoNotOptimize(x);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * kStepKernelCalls));
+                          static_cast<std::int64_t>(n * kStepArraySweeps));
   state.SetLabel(simd::level_name(kn.level));
 }
 

@@ -42,10 +42,25 @@ double AggregationResult::mean_gossip_steps_per_cycle() const noexcept {
 GossipTrustEngine::GossipTrustEngine(std::size_t n, GossipTrustConfig config)
     : n_(n), config_(config) {
   if (n_ == 0) throw std::invalid_argument("GossipTrustEngine: n must be positive");
-  if (config_.delta <= 0.0 || config_.epsilon <= 0.0)
-    throw std::invalid_argument("GossipTrustEngine: thresholds must be positive");
-  if (config_.alpha < 0.0 || config_.alpha > 1.0)
+  // Written as negated in-range tests so NaN fails every one of them.
+  auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  auto unit = [](double x) { return x >= 0.0 && x <= 1.0; };
+  if (!positive(config_.delta) || !positive(config_.epsilon))
+    throw std::invalid_argument(
+        "GossipTrustEngine: delta and epsilon must be finite and > 0");
+  if (!unit(config_.alpha))
     throw std::invalid_argument("GossipTrustEngine: alpha must be in [0, 1]");
+  if (!unit(config_.power_node_fraction))
+    throw std::invalid_argument(
+        "GossipTrustEngine: power_node_fraction must be in [0, 1]");
+  if (!unit(config_.loss_probability))
+    throw std::invalid_argument(
+        "GossipTrustEngine: loss_probability must be in [0, 1]");
+  if (config_.stable_rounds == 0 || config_.max_cycles == 0 ||
+      config_.max_gossip_steps == 0)
+    throw std::invalid_argument(
+        "GossipTrustEngine: stable_rounds, max_cycles and max_gossip_steps "
+        "must be >= 1");
   if (config_.num_threads != 1)
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
 }
@@ -86,22 +101,29 @@ CycleStats GossipTrustEngine::run_cycle(const trust::SparseMatrix& s,
   if (s.size() != n_ || v.size() != n_)
     throw std::invalid_argument("GossipTrustEngine::run_cycle: size mismatch");
 
-  gossip::PushSumConfig ps;
-  ps.epsilon = config_.epsilon;
-  ps.stable_rounds = config_.stable_rounds;
-  ps.max_steps = config_.max_gossip_steps;
-  ps.loss_probability = config_.loss_probability;
-  ps.neighbors_only = config_.neighbors_only;
-  ps.num_threads = config_.num_threads;
-
-  gossip::VectorGossip gossip(n_, ps, pool_.get());
-  if (alive != nullptr) gossip.set_participants(*alive);
-  if (!adv_scale_.empty() || !adv_withhold_.empty())
-    gossip.set_adversary(adv_scale_, adv_withhold_);
+  if (!gossip_) {
+    // Built on first use rather than in the constructor: the dense state's
+    // first-touch page faults belong to the first cycle, not to setup.
+    gossip::PushSumConfig ps;
+    ps.epsilon = config_.epsilon;
+    ps.stable_rounds = config_.stable_rounds;
+    ps.max_steps = config_.max_gossip_steps;
+    ps.loss_probability = config_.loss_probability;
+    ps.neighbors_only = config_.neighbors_only;
+    ps.num_threads = config_.num_threads;
+    gossip_ = std::make_unique<gossip::VectorGossip>(n_, ps, pool_.get());
+  }
+  // Re-arm every per-cycle setting, so nothing of an earlier cycle (a mask,
+  // an adversary, a sink) leaks into this one; initialize() below resets
+  // the state and the metrics registry.
+  gossip::VectorGossip& gossip = *gossip_;
+  gossip.set_participants(alive != nullptr ? *alive
+                                           : std::vector<std::uint8_t>{});
+  gossip.set_adversary(adv_scale_, adv_withhold_);
   // Step sampling is the kernel's job; the engine emits the richer `cycle`
   // record below, so the kernel sink is only attached when sampling is on.
-  if (events_ != nullptr && step_sample_every_ > 0)
-    gossip.set_event_log(events_, step_sample_every_);
+  gossip.set_event_log(step_sample_every_ > 0 ? events_ : nullptr,
+                       step_sample_every_);
   std::uint64_t cycle_trace = 0, cycle_span = 0;
   double cycle_base = 0.0;
   if (trace_ != nullptr) {
@@ -109,6 +131,8 @@ CycleStats GossipTrustEngine::run_cycle(const trust::SparseMatrix& s,
     cycle_span = trace_->alloc_span();
     cycle_base = trace_->time_cursor();
     gossip.set_trace(trace_, cycle_base, cycle_trace, cycle_span);
+  } else {
+    gossip.set_trace(nullptr);
   }
   gossip.initialize(s, v);
   const auto gres = gossip.run(rng, overlay);

@@ -30,7 +30,11 @@
 
 namespace gt::core {
 
-/// All tunables; defaults are the paper's Table 2.
+/// All tunables; defaults are the paper's Table 2. The engine constructor
+/// rejects (std::invalid_argument) a non-finite or non-positive delta or
+/// epsilon; an alpha, power_node_fraction or loss_probability that is NaN
+/// or outside [0, 1]; and a zero stable_rounds, max_cycles or
+/// max_gossip_steps.
 struct GossipTrustConfig {
   double delta = 1e-3;             ///< global aggregation threshold
   double epsilon = 1e-4;           ///< gossip error threshold
@@ -63,8 +67,9 @@ struct CycleStats {
   std::uint64_t triplets_sent = 0;
   std::uint64_t active_triplets = 0;          ///< live (x,w) components at cycle end
   std::uint64_t zero_components_skipped = 0;  ///< structural zeros never gossiped
-  double send_phase_seconds = 0.0;            ///< route/bucket/gather wall time
-  double bookkeeping_phase_seconds = 0.0;     ///< convergence-tracking wall time
+  double send_phase_seconds = 0.0;            ///< route/bucket/gather wall time,
+                                              ///< gather's fused residual sweep included
+  double bookkeeping_phase_seconds = 0.0;     ///< support-gauge publish wall time
   double readout_seconds = 0.0;               ///< consensus read-out wall time
   double change_from_previous = 0.0;  ///< mean relative error vs previous V
 };
@@ -88,7 +93,8 @@ struct AggregationResult {
   std::vector<std::vector<double>> final_views;
 };
 
-/// GossipTrust reputation aggregation engine.
+/// GossipTrust reputation aggregation engine. Cycles share one gossip
+/// kernel, so one engine must not run cycles from two threads at once.
 class GossipTrustEngine {
  public:
   GossipTrustEngine(std::size_t n, GossipTrustConfig config);
@@ -144,7 +150,12 @@ class GossipTrustEngine {
  private:
   std::size_t n_;
   GossipTrustConfig config_;
-  std::unique_ptr<ThreadPool> pool_;  // shared by every cycle's gossip kernel
+  std::unique_ptr<ThreadPool> pool_;  // the gossip kernel's worker lanes
+  // One gossip kernel for the engine's lifetime, built by the first
+  // run_cycle and re-armed (participants, adversary, sinks, initialize)
+  // by every cycle. initialize() resets its metrics registry, so
+  // metrics() — and hence each CycleStats — covers one cycle only.
+  std::unique_ptr<gossip::VectorGossip> gossip_;
   telemetry::EventLog* events_ = nullptr;
   std::size_t step_sample_every_ = 0;
   std::uint64_t cycles_emitted_ = 0;  // cycle index stamped onto records

@@ -1,7 +1,6 @@
 #include "gossip/vector_gossip.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -35,6 +34,15 @@ VectorGossip::VectorGossip(std::size_t n, PushSumConfig config, ThreadPool* pool
       in_off_(n + 1, 0),
       in_senders_(n, 0) {
   if (n == 0) throw std::invalid_argument("VectorGossip: n must be positive");
+  // Written as negated in-range tests so NaN fails every one of them.
+  if (!(std::isfinite(config_.epsilon) && config_.epsilon > 0.0))
+    throw std::invalid_argument("VectorGossip: epsilon must be finite and > 0");
+  if (!(config_.loss_probability >= 0.0 && config_.loss_probability <= 1.0))
+    throw std::invalid_argument(
+        "VectorGossip: loss_probability must be in [0, 1]");
+  if (config_.stable_rounds == 0 || config_.max_steps == 0)
+    throw std::invalid_argument(
+        "VectorGossip: stable_rounds and max_steps must be >= 1");
   simd_level_ = simd::resolve_level(config_.simd_level);
   kn_ = &simd::kernels(simd_level_);
   simd::assert_aligned(x_.data(), simd::kAlignment, "VectorGossip::x_");
@@ -49,6 +57,7 @@ VectorGossip::VectorGossip(std::size_t n, PushSumConfig config, ThreadPool* pool
   }
   scratch_.resize(lanes());
   for (auto& sc : scratch_) sc.mark.assign(n_, 0);
+  chunk_active_.assign(lanes(), 0);
 
   // One registry lane per worker lane; phase timings land in log-bucket
   // histograms spanning ~30ns .. ~30s.
@@ -135,10 +144,13 @@ void VectorGossip::initialize(const trust::SparseMatrix& s, std::span<const doub
   std::fill(dense_.begin(), dense_.end(), 0);
   std::fill(next_dense_.begin(), next_dense_.end(), 0);
   for (NodeId i = 0; i < n_; ++i) {
-    active_[i].clear();
-    next_active_[i].clear();
+    // Release, not clear: a reused kernel would otherwise pin every list's
+    // high-water capacity across runs.
+    std::vector<NodeId>().swap(active_[i]);
+    std::vector<NodeId>().swap(next_active_[i]);
   }
   streams_seeded_ = false;  // next step derives fresh per-node streams
+  metrics_->reset();        // counters and timers cover this run only
 
   const double uniform = 1.0 / static_cast<double>(n_);
   for (NodeId i = 0; i < n_; ++i) {
@@ -245,24 +257,23 @@ void VectorGossip::route_phase(const graph::Graph* overlay) {
       }
 
       if (have_target) {
-        // Payload accounting walks only the active support; a lost message
-        // still carried its (un-halved) payload onto the wire. A
-        // withholding adversary ships only its own component.
+        // Route counts only the payloads gather never folds: a lost message
+        // still carried its (un-halved) payload onto the wire, and a
+        // withholding adversary ships only its own component. A delivered
+        // full share is counted by its receiver in the same pass that
+        // folds it (gather_phase).
         const double* xi = row_x(i);
         const double* wi = row_w(i);
-        const double h = lost ? 1.0 : 0.5;
-        std::uint64_t payload = 0;
         if (adv_withholds(i)) {
-          payload = (h * xi[i] != 0.0 || h * wi[i] != 0.0) ? 1 : 0;
-          if (!dense_[i]) ctr.skipped += n_ - active_[i].size();
-        } else if (dense_[i]) {
-          payload = kn_->count_nonzero_pair(xi, wi, h, n_);
-        } else {
+          const double h = lost ? 1.0 : 0.5;
+          ctr.triplets += (h * xi[i] != 0.0 || h * wi[i] != 0.0) ? 1 : 0;
+        } else if (lost && dense_[i]) {
+          ctr.triplets += kn_->count_nonzero_pair(xi, wi, 1.0, n_);
+        } else if (lost) {
           for (const NodeId j : active_[i])
-            payload += (h * xi[j] != 0.0 || h * wi[j] != 0.0);
-          ctr.skipped += n_ - active_[i].size();
+            ctr.triplets += (xi[j] != 0.0 || wi[j] != 0.0) ? 1 : 0;
         }
-        ctr.triplets += payload;
+        if (!dense_[i]) ctr.skipped += n_ - active_[i].size();
       }
     }
     metrics_->add(c_sent_, ctr.sent, c);
@@ -293,6 +304,8 @@ void VectorGossip::gather_phase() {
   const std::size_t chunks = std::min(lanes(), n_);
   for_chunks(n_, chunks, [&](std::size_t b, std::size_t e, std::size_t chunk) {
     UnionScratch& sc = scratch_[chunk];
+    std::uint64_t triplets = 0;  // delivered payloads folded by this chunk
+    std::uint64_t active = 0;    // support of this chunk's next rows
     for (NodeId r = b; r < e; ++r) {
       if (masked && !alive_[r]) {
         next_dense_[r] = 0;
@@ -318,6 +331,10 @@ void VectorGossip::gather_phase() {
         out_dense = dense_[s] != 0 && !adv_withholds(s);
       }
 
+      // Every delivered share is folded as px = 0.5*x, pw = 0.5*w and
+      // counted as payload when either half is nonzero (the same predicate
+      // simd::Kernels::count_nonzero_pair applies). Withholding senders'
+      // single component was already counted by route_phase.
       if (out_dense) {
         // Contiguous fast path once any contributing row has densified:
         // vector kernels sweep whole rows. The initial assignment also
@@ -340,12 +357,14 @@ void VectorGossip::gather_phase() {
             nx[s] += 0.5 * xs[s];
             nw[s] += 0.5 * ws[s];
           } else if (dense_[s]) {
-            kn_->accumulate_scaled(nx, xs, 0.5, n_);
-            kn_->accumulate_scaled(nw, ws, 0.5, n_);
+            triplets += kn_->accumulate_pair_count(nx, nw, xs, ws, 0.5, n_);
           } else {
             for (const NodeId j : active_[s]) {
-              nx[j] += 0.5 * xs[j];
-              nw[j] += 0.5 * ws[j];
+              const double px = 0.5 * xs[j];
+              const double pw = 0.5 * ws[j];
+              triplets += (px != 0.0 || pw != 0.0) ? 1 : 0;
+              nx[j] += px;
+              nw[j] += pw;
             }
           }
         }
@@ -394,14 +413,17 @@ void VectorGossip::gather_phase() {
             continue;
           }
           for (const NodeId j : active_[s]) {
+            const double px = 0.5 * xs[j];
+            const double pw = 0.5 * ws[j];
+            triplets += (px != 0.0 || pw != 0.0) ? 1 : 0;
             if (sc.mark[j] != stamp) {
               sc.mark[j] = stamp;
               out.push_back(j);
-              nx[j] = 0.5 * xs[j];
-              nw[j] = 0.5 * ws[j];
+              nx[j] = px;
+              nw[j] = pw;
             } else {
-              nx[j] += 0.5 * xs[j];
-              nw[j] += 0.5 * ws[j];
+              nx[j] += px;
+              nw[j] += pw;
             }
           }
         }
@@ -424,72 +446,71 @@ void VectorGossip::gather_phase() {
           if (c != 1.0) nx[s] += (c - 1.0) * 0.5 * row_x(s)[s];
         }
       }
+
+      active += track_row(r, nx, nw);
     }
+    metrics_->add(c_triplets_, triplets, chunk);
+    chunk_active_[chunk] = active;
   });
 }
 
-void VectorGossip::bookkeeping_phase(VectorGossipResult& result) {
-  // Local convergence bookkeeping (Algorithm 1 line 14, per component).
-  // Only live nodes participate, and only components owned by live peers
-  // can ever hold a defined ratio (the owner seeds the consensus factor);
-  // a node is stable only once every owned component is defined and has
-  // moved by at most epsilon — so any owned component still missing from
-  // the active set keeps the node unstable without a dense sweep.
-  const bool masked = !alive_.empty();
-  const std::uint8_t* alive = masked ? alive_.data() : nullptr;
-  const std::size_t owned_total = masked ? alive_list_.size() : n_;
-  const std::size_t chunks = std::min(lanes(), n_);
-  // Support size is a snapshot (not monotonic), so it accumulates into a
-  // phase-local atomic: integer adds commute, so the total is independent
-  // of chunk completion order.
-  std::atomic<std::uint64_t> active_total{0};
-  for_chunks(n_, chunks, [&](std::size_t b, std::size_t e, std::size_t) {
-    std::uint64_t active = 0;
-    for (NodeId i = b; i < e; ++i) {
-      if (alive != nullptr && !alive[i]) continue;
-      const double* xi = row_x(i);
-      const double* wi = row_w(i);
-      double* prev = prev_ratio_.data() + i * n_;
-      bool stable = true;
-      std::size_t owned_seen = 0;
-      auto visit = [&](NodeId j) {
-        if (alive != nullptr && !alive[j]) return;  // unowned component
-        ++owned_seen;
-        if (wi[j] <= kWeightFloor) {
-          prev[j] = kNaN;
-          stable = false;
-          return;
-        }
-        const double ratio = xi[j] / wi[j];
-        if (std::isnan(prev[j]) || std::abs(ratio - prev[j]) > config_.epsilon)
-          stable = false;
-        prev[j] = ratio;
-      };
-      if (dense_[i]) {
-        active += n_;
-        if (alive == nullptr) {
-          // Unmasked dense rows take the vector kernel: identical branch
-          // semantics per element (see simd::Kernels::residual_nan), and
-          // every component is owned, so owned_seen is trivially n.
-          owned_seen = n_;
-          if (!kn_->residual_nan(xi, wi, prev, kWeightFloor, config_.epsilon,
-                                 n_))
-            stable = false;
-        } else {
-          for (NodeId j = 0; j < n_; ++j) visit(j);
-        }
-      } else {
-        active += active_[i].size();
-        for (const NodeId j : active_[i]) visit(j);
-      }
-      if (owned_seen < owned_total) stable = false;
-      stable_count_[i] = stable ? stable_count_[i] + 1 : 0;
+std::size_t VectorGossip::track_row(NodeId r, const double* x,
+                                    const double* w) {
+  // Local convergence bookkeeping (Algorithm 1 line 14, per component) on
+  // row r's next state, run by gather while the row is still in L1. Only
+  // live nodes get here, and only components owned by live peers can ever
+  // hold a defined ratio (the owner seeds the consensus factor); a node is
+  // stable only once every owned component is defined and has moved by at
+  // most epsilon — so any owned component still missing from the active
+  // set keeps the node unstable without a dense sweep.
+  const std::uint8_t* alive = alive_.empty() ? nullptr : alive_.data();
+  const std::size_t owned_total = alive != nullptr ? alive_list_.size() : n_;
+  double* prev = prev_ratio_.data() + r * n_;
+  bool stable = true;
+  std::size_t owned_seen = 0;
+  auto visit = [&](NodeId j) {
+    if (alive != nullptr && !alive[j]) return;  // unowned component
+    ++owned_seen;
+    if (w[j] <= kWeightFloor) {
+      prev[j] = kNaN;
+      stable = false;
+      return;
     }
-    active_total.fetch_add(active, std::memory_order_relaxed);
-  });
-  // Snapshot of the current step's support, mirrored into the gauge.
-  result.active_triplets = active_total.load(std::memory_order_relaxed);
-  metrics_->set(g_active_, static_cast<double>(result.active_triplets));
+    const double ratio = x[j] / w[j];
+    if (std::isnan(prev[j]) || std::abs(ratio - prev[j]) > config_.epsilon)
+      stable = false;
+    prev[j] = ratio;
+  };
+  std::size_t support = 0;
+  if (next_dense_[r]) {
+    support = n_;
+    if (alive == nullptr) {
+      // Unmasked dense rows take the vector kernel: identical branch
+      // semantics per element (see simd::Kernels::residual_nan), and
+      // every component is owned, so owned_seen is trivially n.
+      owned_seen = n_;
+      if (!kn_->residual_nan(x, w, prev, kWeightFloor, config_.epsilon, n_))
+        stable = false;
+    } else {
+      for (NodeId j = 0; j < n_; ++j) visit(j);
+    }
+  } else {
+    support = next_active_[r].size();
+    for (const NodeId j : next_active_[r]) visit(j);
+  }
+  if (owned_seen < owned_total) stable = false;
+  stable_count_[r] = stable ? stable_count_[r] + 1 : 0;
+  return support;
+}
+
+void VectorGossip::bookkeeping_phase(VectorGossipResult& result) {
+  // The convergence sweep itself ran inside gather (track_row); what is
+  // left is publishing the step's support snapshot. Chunk totals are
+  // integers, so the sum is independent of chunk completion order.
+  std::uint64_t total = 0;
+  for (const std::uint64_t a : chunk_active_) total += a;
+  result.active_triplets = total;
+  metrics_->set(g_active_, static_cast<double>(total));
 }
 
 void VectorGossip::step(Rng& rng, const graph::Graph* overlay,

@@ -16,14 +16,22 @@
 // until a row actually densifies (after which it flips to a contiguous
 // dense fast path with no index indirection).
 //
-// The step itself is organised as three node-partitioned parallel phases
-// over a gt::ThreadPool:
+// The step itself is organised as three node-partitioned phases over a
+// gt::ThreadPool, and reads each dense row once:
 //   A (route):   each node draws its push target and loss coin from its own
-//                RNG stream (seeded mix64(base, i)) and counts its payload;
+//                RNG stream (seeded mix64(base, i)); it counts only the
+//                payloads gather never folds (lost pushes, and a
+//                withholder's single shipped component);
 //   B (bucket):  a serial O(n) counting sort turns target choices into
 //                per-receiver sender lists, ascending by sender id;
 //   C (gather):  each receiver owns its output row exclusively and folds
-//                keep-half + received halves in ascending-sender order.
+//                keep-half + received halves in ascending-sender order,
+//                counting each delivered payload in the same pass
+//                (simd::Kernels::accumulate_pair_count), then runs the
+//                row's convergence bookkeeping (residual sweep and stable
+//                count) while the freshly written row is still in L1.
+// What remains of the bookkeeping phase publishes the step's support
+// gauge; the residual sweep's time is therefore part of the send phase.
 // Because every floating-point accumulation order is fixed by node ids and
 // never by scheduling, results are bit-identical for any thread count,
 // including the serial num_threads == 1 path.
@@ -57,8 +65,9 @@ struct VectorGossipResult {
   std::uint64_t triplets_sent = 0;  ///< payload volume: nonzero entries pushed
   std::uint64_t active_triplets = 0;          ///< live (x,w) components after the last step
   std::uint64_t zero_components_skipped = 0;  ///< structurally-zero sends skipped, summed over steps
-  double send_phase_seconds = 0.0;         ///< route + bucket + gather wall time
-  double bookkeeping_phase_seconds = 0.0;  ///< convergence-tracking wall time
+  double send_phase_seconds = 0.0;  ///< route + bucket + gather wall time,
+                                    ///< the fused residual sweep included
+  double bookkeeping_phase_seconds = 0.0;  ///< support-gauge publish time
 };
 
 /// Synchronous-round vector push-sum over n nodes and n components.
@@ -66,7 +75,10 @@ class VectorGossip {
  public:
   /// `pool` (optional, non-owning) supplies the worker lanes; when null and
   /// config.num_threads != 1 the kernel owns a private pool. num_threads == 1
-  /// (the default) runs fully inline on the calling thread.
+  /// (the default) runs fully inline on the calling thread. Throws
+  /// std::invalid_argument unless epsilon is finite and > 0,
+  /// loss_probability is in [0, 1] (NaN rejected) and stable_rounds and
+  /// max_steps are >= 1.
   VectorGossip(std::size_t n, PushSumConfig config, ThreadPool* pool = nullptr);
 
   /// Restricts the protocol to a subset of live peers (peer dynamics /
@@ -82,7 +94,10 @@ class VectorGossip {
   ///   x_i^{(j)} = s_ij * v_i,   w_i^{(j)} = [i == j].
   /// Rows of S with no feedback ("dangling" raters) act as uniform rows
   /// 1/n, matching SparseMatrix::transpose_multiply's dangling rule. Also
-  /// seeds the per-node active-component lists from the sparse rows.
+  /// seeds the per-node active-component lists from the sparse rows. May be
+  /// called again to start a fresh run on the same instance: all state,
+  /// the metrics registry included, is reset (participants and adversary
+  /// settings are kept), and the active lists' capacity is released.
   void initialize(const trust::SparseMatrix& s, std::span<const double> v);
 
   /// Runs gossip steps until every node's full vector is epsilon-stable for
@@ -140,8 +155,9 @@ class VectorGossip {
   /// histograms `gossip.send_phase_seconds`,
   /// `gossip.bookkeeping_phase_seconds` observed once per step). Worker
   /// lanes are merged on read, so a snapshot is always consistent between
-  /// steps. All telemetry is observational: results are bit-identical
-  /// whether or not anything reads it.
+  /// steps; initialize() resets it, so it covers the current run only.
+  /// All telemetry is observational: results are bit-identical whether or
+  /// not anything reads it.
   const telemetry::MetricsRegistry& metrics() const noexcept { return *metrics_; }
 
   /// Attaches a JSONL sink: run() emits one `gossip_run` record per
@@ -188,6 +204,7 @@ class VectorGossip {
   void route_phase(const graph::Graph* overlay);
   void bucket_phase();
   void gather_phase();
+  std::size_t track_row(NodeId r, const double* x, const double* w);
   void bookkeeping_phase(VectorGossipResult& result);
 
   std::size_t n_ = 0;
@@ -238,6 +255,7 @@ class VectorGossip {
     std::uint64_t stamp = 0;
   };
   mutable std::vector<UnionScratch> scratch_;
+  std::vector<std::uint64_t> chunk_active_;  // per-lane support, last gather
 
   // Telemetry: per-lane counter partials live in the registry (each worker
   // lane adds its chunk totals into its own lane; reads merge lanes in

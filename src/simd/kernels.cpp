@@ -36,9 +36,23 @@ void scale_assign_scalar(double* dst, const double* src, double scale,
   for (std::size_t i = 0; i < n; ++i) dst[i] = scale * src[i];
 }
 
-void accumulate_scaled_scalar(double* dst, const double* src, double scale,
-                              std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] += scale * src[i];
+/// One element of the received-half fold; returns "payload was nonzero".
+inline std::uint64_t accumulate_pair_one(double* dx, double* dw, double x,
+                                         double w, double scale) {
+  const double px = scale * x;
+  const double pw = scale * w;
+  *dx += px;
+  *dw += pw;
+  return (px != 0.0 || pw != 0.0) ? 1u : 0u;
+}
+
+std::uint64_t accumulate_pair_count_scalar(double* dx, double* dw,
+                                           const double* x, const double* w,
+                                           double scale, std::size_t n) {
+  std::uint64_t count = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    count += accumulate_pair_one(dx + i, dw + i, x[i], w[i], scale);
+  return count;
 }
 
 void add_scalar(double* dst, const double* src, std::size_t n) {
@@ -93,9 +107,9 @@ std::uint64_t count_nonzero_pair_scalar(const double* x, const double* w,
 }
 
 const Kernels kScalarKernels = {
-    SimdLevel::kScalar,      scale_assign_scalar,
-    accumulate_scaled_scalar, add_scalar,
-    residual_nan_scalar,     ratio_accumulate_scalar,
+    SimdLevel::kScalar,           scale_assign_scalar,
+    accumulate_pair_count_scalar, add_scalar,
+    residual_nan_scalar,          ratio_accumulate_scalar,
     count_nonzero_pair_scalar,
 };
 
@@ -122,22 +136,31 @@ GT_AVX2 void scale_assign_avx2(double* dst, const double* src, double scale,
   scale_assign_scalar(dst + i, src + i, scale, n - i);
 }
 
-GT_AVX2 void accumulate_scaled_avx2(double* dst, const double* src,
-                                    double scale, std::size_t n) {
+GT_AVX2 std::uint64_t accumulate_pair_count_avx2(double* dx, double* dw,
+                                                 const double* x,
+                                                 const double* w, double scale,
+                                                 std::size_t n) {
   const __m256d s = _mm256_set1_pd(scale);
+  const __m256d zero = _mm256_setzero_pd();
+  // Per-lane payload counters: a true compare lane is all ones (-1), so
+  // subtracting the mask counts it without leaving the vector unit.
+  __m256i cnt = _mm256_setzero_si256();
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d p0 = _mm256_mul_pd(_mm256_loadu_pd(src + i), s);
-    const __m256d p1 = _mm256_mul_pd(_mm256_loadu_pd(src + i + 4), s);
-    _mm256_storeu_pd(dst + i, _mm256_add_pd(_mm256_loadu_pd(dst + i), p0));
-    _mm256_storeu_pd(dst + i + 4,
-                     _mm256_add_pd(_mm256_loadu_pd(dst + i + 4), p1));
-  }
   for (; i + 4 <= n; i += 4) {
-    const __m256d p = _mm256_mul_pd(_mm256_loadu_pd(src + i), s);
-    _mm256_storeu_pd(dst + i, _mm256_add_pd(_mm256_loadu_pd(dst + i), p));
+    const __m256d px = _mm256_mul_pd(_mm256_loadu_pd(x + i), s);
+    const __m256d pw = _mm256_mul_pd(_mm256_loadu_pd(w + i), s);
+    _mm256_storeu_pd(dx + i, _mm256_add_pd(_mm256_loadu_pd(dx + i), px));
+    _mm256_storeu_pd(dw + i, _mm256_add_pd(_mm256_loadu_pd(dw + i), pw));
+    // NEQ_UQ: NaN != 0.0 -> true, matching the scalar `!=`.
+    const __m256d nz = _mm256_or_pd(_mm256_cmp_pd(px, zero, _CMP_NEQ_UQ),
+                                    _mm256_cmp_pd(pw, zero, _CMP_NEQ_UQ));
+    cnt = _mm256_sub_epi64(cnt, _mm256_castpd_si256(nz));
   }
-  accumulate_scaled_scalar(dst + i, src + i, scale, n - i);
+  alignas(32) std::uint64_t lane[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lane), cnt);
+  return lane[0] + lane[1] + lane[2] + lane[3] +
+         accumulate_pair_count_scalar(dx + i, dw + i, x + i, w + i, scale,
+                                      n - i);
 }
 
 GT_AVX2 void add_avx2(double* dst, const double* src, std::size_t n) {
@@ -232,15 +255,16 @@ GT_AVX2 std::uint64_t count_nonzero_pair_avx2(const double* x, const double* w,
 }
 
 const Kernels kAvx2Kernels = {
-    SimdLevel::kAvx2,       scale_assign_avx2,
-    accumulate_scaled_avx2, add_avx2,
-    residual_nan_avx2,      ratio_accumulate_avx2,
+    SimdLevel::kAvx2,           scale_assign_avx2,
+    accumulate_pair_count_avx2, add_avx2,
+    residual_nan_avx2,          ratio_accumulate_avx2,
     count_nonzero_pair_avx2,
 };
 
 // ---------------------------------------------------------------------------
 // AVX-512 kernels: 8 x f64 per register on the three streaming mul/add
-// sweeps — the store-bound hot loops where 512-bit width is pure win. The
+// sweeps — the store-bound hot loops where 512-bit width is pure win (the
+// fold's payload count rides along as two mask compares per register). The
 // predicate and ratio kernels reuse the AVX2 forms above: they are
 // elementwise, so mixing widths inside one dispatch table cannot change a
 // single bit, and their divide / movemask structure gains nothing from
@@ -263,24 +287,34 @@ GT_AVX512 void scale_assign_avx512(double* dst, const double* src,
   scale_assign_scalar(dst + i, src + i, scale, n - i);
 }
 
-GT_AVX512 void accumulate_scaled_avx512(double* dst, const double* src,
-                                        double scale, std::size_t n) {
+GT_AVX512 std::uint64_t accumulate_pair_count_avx512(double* dx, double* dw,
+                                                     const double* x,
+                                                     const double* w,
+                                                     double scale,
+                                                     std::size_t n) {
   const __m512d s = _mm512_set1_pd(scale);
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512i one = _mm512_set1_epi64(1);
+  __m512i cnt = _mm512_setzero_si512();  // per-lane payload counters
   std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
+  for (; i + 8 <= n; i += 8) {
     // Explicit mul then add — _mm512_fmadd_pd would fuse and break
     // bit-identity with the contraction-free scalar oracle.
-    const __m512d p0 = _mm512_mul_pd(_mm512_loadu_pd(src + i), s);
-    const __m512d p1 = _mm512_mul_pd(_mm512_loadu_pd(src + i + 8), s);
-    _mm512_storeu_pd(dst + i, _mm512_add_pd(_mm512_loadu_pd(dst + i), p0));
-    _mm512_storeu_pd(dst + i + 8,
-                     _mm512_add_pd(_mm512_loadu_pd(dst + i + 8), p1));
+    const __m512d px = _mm512_mul_pd(_mm512_loadu_pd(x + i), s);
+    const __m512d pw = _mm512_mul_pd(_mm512_loadu_pd(w + i), s);
+    _mm512_storeu_pd(dx + i, _mm512_add_pd(_mm512_loadu_pd(dx + i), px));
+    _mm512_storeu_pd(dw + i, _mm512_add_pd(_mm512_loadu_pd(dw + i), pw));
+    const __mmask8 nz = static_cast<__mmask8>(
+        _mm512_cmp_pd_mask(px, zero, _CMP_NEQ_UQ) |
+        _mm512_cmp_pd_mask(pw, zero, _CMP_NEQ_UQ));
+    cnt = _mm512_mask_add_epi64(cnt, nz, cnt, one);
   }
-  for (; i + 8 <= n; i += 8) {
-    const __m512d p = _mm512_mul_pd(_mm512_loadu_pd(src + i), s);
-    _mm512_storeu_pd(dst + i, _mm512_add_pd(_mm512_loadu_pd(dst + i), p));
-  }
-  accumulate_scaled_scalar(dst + i, src + i, scale, n - i);
+  alignas(64) std::uint64_t lane[8];
+  _mm512_store_si512(lane, cnt);
+  std::uint64_t count = 0;
+  for (const std::uint64_t c : lane) count += c;
+  return count + accumulate_pair_count_scalar(dx + i, dw + i, x + i, w + i,
+                                              scale, n - i);
 }
 
 GT_AVX512 void add_avx512(double* dst, const double* src, std::size_t n) {
@@ -299,9 +333,9 @@ GT_AVX512 void add_avx512(double* dst, const double* src, std::size_t n) {
 }
 
 const Kernels kAvx512Kernels = {
-    SimdLevel::kAvx512,       scale_assign_avx512,
-    accumulate_scaled_avx512, add_avx512,
-    residual_nan_avx2,        ratio_accumulate_avx2,
+    SimdLevel::kAvx512,           scale_assign_avx512,
+    accumulate_pair_count_avx512, add_avx512,
+    residual_nan_avx2,            ratio_accumulate_avx2,
     count_nonzero_pair_avx2,
 };
 

@@ -22,7 +22,8 @@
 // Pointer rules: all pointers may be unaligned (kernels use unaligned
 // loads; the dense arrays are 64-byte aligned anyway for the fast path)
 // and `dst == src` aliasing is allowed for the elementwise kernels;
-// partially overlapping ranges are not.
+// partially overlapping ranges are not (accumulate_pair_count's dx and dw
+// must not overlap each other).
 #pragma once
 
 #include <cstddef>
@@ -42,10 +43,14 @@ struct Kernels {
   void (*scale_assign)(double* dst, const double* src, double scale,
                        std::size_t n);
 
-  /// dst[i] += scale * src[i], computed as mul-then-add (never fused) —
-  /// the received-half accumulation.
-  void (*accumulate_scaled)(double* dst, const double* src, double scale,
-                            std::size_t n);
+  /// The received-half fold with its payload count, in one pass. For each
+  /// i: px = scale*x[i], pw = scale*w[i]; dx[i] += px, dw[i] += pw
+  /// (mul then add, never fused). Returns the number of i with
+  /// px != 0.0 || pw != 0.0 — count_nonzero_pair(x, w, scale, n) of the
+  /// same inputs (NaN compares unequal to zero and counts).
+  std::uint64_t (*accumulate_pair_count)(double* dx, double* dw,
+                                         const double* x, const double* w,
+                                         double scale, std::size_t n);
 
   /// dst[i] += src[i] — the consensus-means chunk-accumulator merge.
   void (*add)(double* dst, const double* src, std::size_t n);
@@ -64,8 +69,9 @@ struct Kernels {
   void (*ratio_accumulate)(double* acc, std::uint32_t* cnt, const double* x,
                            const double* w, double floor, std::size_t n);
 
-  /// Payload accounting: number of i with h*x[i] != 0.0 || h*w[i] != 0.0
-  /// (NaN compares unequal to zero, matching the scalar `!=`).
+  /// Payload accounting for a share that is never folded (a lost push):
+  /// number of i with h*x[i] != 0.0 || h*w[i] != 0.0 (NaN compares
+  /// unequal to zero, matching the scalar `!=`).
   std::uint64_t (*count_nonzero_pair)(const double* x, const double* w,
                                       double h, std::size_t n);
 };

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "baseline/power_iteration.hpp"
 #include "common/stats.hpp"
 #include "trust/feedback.hpp"
@@ -177,6 +180,104 @@ TEST(GossipTrustEngine, RejectsBadConfig) {
   cfg.delta = 0.0;
   EXPECT_THROW(GossipTrustEngine(10, cfg), std::invalid_argument);
   EXPECT_THROW(GossipTrustEngine(0, GossipTrustConfig{}), std::invalid_argument);
+
+  // Non-finite knobs fail loudly instead of slipping past `<= 0` and
+  // range checks (NaN alpha would turn every score into NaN; NaN
+  // power_node_fraction would reach a float-to-size_t cast).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto throws = [](auto mutate) {
+    GossipTrustConfig c;
+    mutate(c);
+    try {
+      GossipTrustEngine engine(10, c);
+    } catch (const std::invalid_argument&) {
+      return true;
+    }
+    return false;
+  };
+  for (const double x : {0.0, -1.0, kNaN, kInf}) {
+    EXPECT_TRUE(throws([x](GossipTrustConfig& c) { c.delta = x; })) << x;
+    EXPECT_TRUE(throws([x](GossipTrustConfig& c) { c.epsilon = x; })) << x;
+  }
+  for (const double x : {-0.1, 1.5, kNaN, kInf, -kInf}) {
+    EXPECT_TRUE(throws([x](GossipTrustConfig& c) { c.alpha = x; })) << x;
+    EXPECT_TRUE(
+        throws([x](GossipTrustConfig& c) { c.power_node_fraction = x; }))
+        << x;
+    EXPECT_TRUE(throws([x](GossipTrustConfig& c) { c.loss_probability = x; }))
+        << x;
+  }
+  EXPECT_TRUE(throws([](GossipTrustConfig& c) { c.stable_rounds = 0; }));
+  EXPECT_TRUE(throws([](GossipTrustConfig& c) { c.max_cycles = 0; }));
+  EXPECT_TRUE(throws([](GossipTrustConfig& c) { c.max_gossip_steps = 0; }));
+  // Range edges stay valid.
+  EXPECT_FALSE(throws([](GossipTrustConfig& c) {
+    c.alpha = 1.0;
+    c.power_node_fraction = 0.0;
+    c.loss_probability = 1.0;
+    c.stable_rounds = 1;
+    c.max_cycles = 1;
+    c.max_gossip_steps = 1;
+  }));
+}
+
+// The engine keeps one gossip kernel for its lifetime. A run after masked
+// and attacked cycles, with the adversary cleared, must equal a fresh
+// engine's run bit for bit — scores and every per-cycle counter — and at
+// loss 0 each cycle must count exactly n messages per step, which holds
+// only if the kernel's registry is reset between cycles.
+TEST(GossipTrustEngine, ReusedKernelMatchesFreshEngine) {
+  const std::size_t n = 48;
+  const auto s = workload_matrix(n, 31);
+  auto cfg = test_config();
+  cfg.max_gossip_steps = 300;
+  GossipTrustEngine reused(n, cfg);
+  std::vector<double> scale(n, 1.0);
+  scale[2] = 2.0;
+  std::vector<std::uint8_t> withhold(n, 0);
+  withhold[4] = 1;
+  reused.set_gossip_adversary(scale, withhold);
+  std::vector<std::uint8_t> alive(n, 1);
+  alive[7] = alive[11] = 0;
+  {
+    auto v = reused.initial_scores();
+    std::vector<NodeId> power;
+    Rng dirty(32);
+    reused.run_cycle(s, v, power, dirty, nullptr, nullptr, &alive);
+    reused.run_cycle(s, v, power, dirty);
+  }
+  reused.set_gossip_adversary({}, {});
+
+  GossipTrustEngine fresh(n, cfg);
+  Rng r1(33), r2(33);
+  const auto a = reused.run(s, r1);
+  const auto b = fresh.run(s, r2);
+  ASSERT_EQ(a.scores.size(), b.scores.size());
+  EXPECT_EQ(std::memcmp(a.scores.data(), b.scores.data(),
+                        a.scores.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(a.power_nodes, b.power_nodes);
+  EXPECT_EQ(a.converged, b.converged);
+  ASSERT_EQ(a.cycles.size(), b.cycles.size());
+  for (std::size_t t = 0; t < a.cycles.size(); ++t) {
+    const CycleStats& ca = a.cycles[t];
+    const CycleStats& cb = b.cycles[t];
+    EXPECT_EQ(ca.gossip_steps, cb.gossip_steps) << t;
+    EXPECT_EQ(ca.gossip_converged, cb.gossip_converged) << t;
+    EXPECT_EQ(ca.degraded, cb.degraded) << t;
+    EXPECT_EQ(ca.messages_sent, cb.messages_sent) << t;
+    EXPECT_EQ(ca.messages_lost, cb.messages_lost) << t;
+    EXPECT_EQ(ca.triplets_sent, cb.triplets_sent) << t;
+    EXPECT_EQ(ca.active_triplets, cb.active_triplets) << t;
+    EXPECT_EQ(ca.zero_components_skipped, cb.zero_components_skipped) << t;
+    EXPECT_EQ(std::memcmp(&ca.change_from_previous, &cb.change_from_previous,
+                          sizeof(double)),
+              0)
+        << t;
+    EXPECT_EQ(ca.messages_sent, ca.gossip_steps * n) << t;
+    EXPECT_EQ(ca.messages_lost, 0u) << t;
+  }
 }
 
 TEST(GossipTrustEngine, DegradedCycleRetainsPreviousVector) {

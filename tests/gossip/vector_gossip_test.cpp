@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/powerlaw.hpp"
 #include "common/stats.hpp"
@@ -184,6 +186,78 @@ TEST(VectorGossip, RejectsBadSizes) {
   const auto s = make_matrix(8, 17);
   std::vector<double> v(8, 0.125);
   EXPECT_THROW(vg.initialize(s, v), std::invalid_argument);
+}
+
+TEST(VectorGossip, RejectsBadConfig) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto rejects = [](auto mutate) {
+    PushSumConfig cfg;
+    mutate(cfg);
+    return [cfg] { VectorGossip vg(4, cfg); };
+  };
+  for (const double eps : {0.0, -1e-4, kNaN, kInf})
+    EXPECT_THROW(rejects([eps](PushSumConfig& c) { c.epsilon = eps; })(),
+                 std::invalid_argument)
+        << "epsilon " << eps;
+  for (const double p : {-0.1, 1.5, kNaN, kInf})
+    EXPECT_THROW(
+        rejects([p](PushSumConfig& c) { c.loss_probability = p; })(),
+        std::invalid_argument)
+        << "loss_probability " << p;
+  EXPECT_THROW(rejects([](PushSumConfig& c) { c.stable_rounds = 0; })(),
+               std::invalid_argument);
+  EXPECT_THROW(rejects([](PushSumConfig& c) { c.max_steps = 0; })(),
+               std::invalid_argument);
+  // The edges of every range are valid.
+  PushSumConfig edge;
+  edge.loss_probability = 1.0;
+  edge.stable_rounds = 1;
+  edge.max_steps = 1;
+  EXPECT_NO_THROW(VectorGossip(4, edge));
+  edge.loss_probability = 0.0;
+  EXPECT_NO_THROW(VectorGossip(4, edge));
+}
+
+TEST(VectorGossip, ReinitializeResetsRunAndMetrics) {
+  // A second initialize() on the same instance starts a fresh run: the
+  // same input and seed give the same result as a new instance, and the
+  // registry counts the second run only.
+  const std::size_t n = 24;
+  const auto s = make_matrix(n, 18);
+  const std::vector<double> v(n, 1.0 / static_cast<double>(n));
+  PushSumConfig cfg = tight();
+  cfg.loss_probability = 0.05;
+  VectorGossip reused(n, cfg);
+  std::vector<std::uint8_t> alive(n, 1);
+  alive[2] = 0;
+  reused.set_participants(alive);
+  reused.initialize(s, v);
+  Rng dirty(19);
+  reused.run(dirty);
+  reused.set_participants({});
+  reused.initialize(s, v);
+  Rng r1(20);
+  const auto a = reused.run(r1);
+
+  VectorGossip fresh(n, cfg);
+  fresh.initialize(s, v);
+  Rng r2(20);
+  const auto b = fresh.run(r2);
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  EXPECT_EQ(a.messages_lost, b.messages_lost);
+  EXPECT_EQ(a.triplets_sent, b.triplets_sent);
+  EXPECT_EQ(a.active_triplets, b.active_triplets);
+  EXPECT_EQ(a.zero_components_skipped, b.zero_components_skipped);
+  const auto ma = reused.consensus_means();
+  const auto mb = fresh.consensus_means();
+  ASSERT_EQ(ma.size(), mb.size());
+  EXPECT_EQ(std::memcmp(ma.data(), mb.data(), ma.size() * sizeof(double)), 0);
+  const auto snap = reused.metrics().snapshot();
+  EXPECT_EQ(*snap.counter("gossip.messages_sent"), a.messages_sent);
+  EXPECT_EQ(*snap.counter("gossip.triplets_sent"), a.triplets_sent);
+  EXPECT_EQ(snap.histogram("gossip.send_phase_seconds")->count, a.steps);
 }
 
 }  // namespace

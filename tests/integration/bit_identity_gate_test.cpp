@@ -104,6 +104,59 @@ std::uint64_t engine_hash(std::size_t n, std::size_t threads) {
   return h.value();
 }
 
+/// Engine cycles over the branches engine_hash never reaches: message
+/// loss (lost-payload accounting), a gossip-layer liar and a withholder,
+/// and an alive mask that changes between cycles (dead rows, a cleared
+/// mask, adversaries that die and return). Four run_cycle calls share one
+/// engine, so the hash also pins how per-cycle state is rebuilt between
+/// cycles. Same fields as engine_hash.
+std::uint64_t faulted_engine_hash(std::size_t threads) {
+  const std::size_t n = 128;
+  const auto s = gate_matrix(n, 77);
+  core::GossipTrustConfig cfg;
+  cfg.epsilon = 1e-4;
+  cfg.stable_rounds = 2;
+  cfg.max_gossip_steps = 400;
+  cfg.loss_probability = 0.1;
+  cfg.num_threads = threads;
+  core::GossipTrustEngine engine(n, cfg);
+  std::vector<double> scale(n, 1.0);
+  scale[3] = 1.5;  // liar: mints own-component x mass on the wire
+  std::vector<std::uint8_t> withhold(n, 0);
+  withhold[5] = 1;  // withholder: ships only its own component
+  engine.set_gossip_adversary(scale, withhold);
+
+  // Cycle masks: some peers down, everyone up (no mask), a different set
+  // down including the liar, then the withholder down.
+  std::vector<std::vector<std::uint8_t>> masks(4, std::vector<std::uint8_t>(n, 1));
+  for (std::size_t i = 0; i < n; i += 7) masks[0][i] = 0;
+  for (std::size_t i = 1; i < n; i += 5) masks[2][i] = 0;
+  masks[2][3] = 0;
+  for (std::size_t i = 2; i < n; i += 9) masks[3][i] = 0;
+  masks[3][5] = 0;
+
+  auto v = engine.initial_scores();
+  std::vector<core::NodeId> power;
+  Rng rng(0xfa17ed);
+  Fnv h;
+  for (std::size_t t = 0; t < masks.size(); ++t) {
+    const std::vector<std::uint8_t>* alive = t == 1 ? nullptr : &masks[t];
+    const auto c = engine.run_cycle(s, v, power, rng, nullptr, nullptr, alive);
+    h.u64(c.gossip_steps);
+    h.u64(c.gossip_converged ? 1 : 0);
+    h.u64(c.degraded ? 1 : 0);
+    h.u64(c.messages_sent);
+    h.u64(c.messages_lost);
+    h.u64(c.triplets_sent);
+    h.u64(c.active_triplets);
+    h.u64(c.zero_components_skipped);
+    h.f64(c.change_from_previous);
+  }
+  for (const double x : v) h.f64(x);
+  for (const auto p : power) h.u64(p);
+  return h.value();
+}
+
 /// Asynchronous gossip with every network fault knob active, so the RNG
 /// stream covers loss, corruption, duplication, and jitter draws, and the
 /// event order covers duplicate-before-primary scheduling.
@@ -238,6 +291,14 @@ TEST(BitIdentityGate, EngineFig3StyleN512) {
   check("engine_n512_t1", h1, 0xe02602e374f9bf07ULL);
   check("engine_n512_t8", h8, 0xe02602e374f9bf07ULL);
   EXPECT_EQ(h1, h8);
+}
+
+TEST(BitIdentityGate, EngineLossMaskAdversary) {
+  const std::uint64_t h1 = faulted_engine_hash(1);
+  const std::uint64_t h4 = faulted_engine_hash(4);
+  check("engine_faulted_t1", h1, 0x0d1b91c6719df760ULL);
+  check("engine_faulted_t4", h4, 0x0d1b91c6719df760ULL);
+  EXPECT_EQ(h1, h4);
 }
 
 TEST(BitIdentityGate, AsyncGossipFireAndForget) {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -215,9 +216,14 @@ TEST_P(SimdKernelSweep, ElementwiseKernelsBitIdentical) {
     EXPECT_BITEQ_VEC(d1, d2);
 
     auto s1 = ugly_data(n, 5 * n + 3);
-    scalar.accumulate_scaled(d1.data(), s1.data(), 0.5, n);
-    vec.accumulate_scaled(d2.data(), s1.data(), 0.5, n);
+    std::vector<double> e1(n, 0.25), e2(n, 0.25);
+    const std::uint64_t c1 = scalar.accumulate_pair_count(
+        d1.data(), e1.data(), s1.data(), x1.data(), 0.5, n);
+    const std::uint64_t c2 = vec.accumulate_pair_count(
+        d2.data(), e2.data(), s1.data(), x2.data(), 0.5, n);
     EXPECT_BITEQ_VEC(d1, d2);
+    EXPECT_BITEQ_VEC(e1, e2);
+    EXPECT_EQ(c1, c2) << "accumulate_pair_count n=" << n;
 
     scalar.add(d1.data(), x1.data(), n);
     vec.add(d2.data(), x2.data(), n);
@@ -263,6 +269,76 @@ TEST_P(SimdKernelSweep, RatioAccumulateAndPayloadCountBitIdentical) {
           << "h=" << h << " n=" << n;
     }
   }
+}
+
+/// The fold accumulate_pair_count replaced, written out: dst[i] +=
+/// scale*src[i] as mul then add (the volatile keeps the compiler from
+/// fusing them on FMA targets).
+void accumulate_scaled_reference(double* dst, const double* src, double scale,
+                                 std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const volatile double p = scale * src[i];
+    dst[i] += p;
+  }
+}
+
+TEST_P(SimdKernelSweep, AccumulatePairCountMatchesScalarAndOldComposition) {
+  const Kernels& scalar = kernels(SimdLevel::kScalar);
+  const Kernels& vec = kernels(GetParam());
+  // Specials on both shares, paired with zeros so each one alone decides
+  // the count: -0.0 halves to -0.0 (not counted), NaN and +-inf count,
+  // and the smallest subnormal halves to 0 (round to even) — not counted.
+  const double specials[] = {-0.0, kNaN, kInf, -kInf, 5e-324, 0.0, 1.0};
+  for (const std::size_t n : kEdgeSizes) {
+    auto x = ugly_data(n, 13 * n + 2);
+    auto w = weight_data(n, 14 * n + 6);
+    for (std::size_t i = 0; i < n && i < 2 * std::size(specials); ++i) {
+      const double sp = specials[i % std::size(specials)];
+      if (i < std::size(specials)) {
+        x[i] = sp;
+        w[i] = 0.0;
+      } else {
+        x[i] = -0.0;
+        w[i] = sp;
+      }
+    }
+    auto dx1 = ugly_data(n, 15 * n + 4);
+    auto dw1 = weight_data(n, 16 * n + 8);
+    auto dx2 = dx1, dw2 = dw1, dx0 = dx1, dw0 = dw1;
+
+    const std::uint64_t c1 = scalar.accumulate_pair_count(
+        dx1.data(), dw1.data(), x.data(), w.data(), 0.5, n);
+    const std::uint64_t c2 = vec.accumulate_pair_count(
+        dx2.data(), dw2.data(), x.data(), w.data(), 0.5, n);
+    EXPECT_BITEQ_VEC(dx1, dx2);
+    EXPECT_BITEQ_VEC(dw1, dw2);
+    EXPECT_EQ(c1, c2) << "n=" << n;
+
+    // Same bits and count as the two-pass fold + payload count it replaced.
+    accumulate_scaled_reference(dx0.data(), x.data(), 0.5, n);
+    accumulate_scaled_reference(dw0.data(), w.data(), 0.5, n);
+    EXPECT_BITEQ_VEC(dx0, dx1);
+    EXPECT_BITEQ_VEC(dw0, dw1);
+    EXPECT_EQ(c1, scalar.count_nonzero_pair(x.data(), w.data(), 0.5, n))
+        << "n=" << n;
+    EXPECT_EQ(c2, vec.count_nonzero_pair(x.data(), w.data(), 0.5, n))
+        << "n=" << n;
+  }
+}
+
+TEST_P(SimdKernelSweep, AccumulatePairCountSpecialsCountAsDocumented) {
+  const Kernels& vec = kernels(GetParam());
+  // Eight lanes fill one AVX-512 register (two AVX2 registers), so the
+  // vector body, not the scalar tail, decides every count here.
+  const double x[8] = {-0.0, kNaN, kInf, -kInf, 5e-324, 0.0, 0.0, 0.0};
+  const double w[8] = {0.0, 0.0, 0.0, 0.0, 0.0, -0.0, 5e-324, 2e-323};
+  double dx[8] = {}, dw[8] = {};
+  // Counted: NaN, +inf, -inf and 0.5 * 2e-323 = 1e-323 (still nonzero).
+  EXPECT_EQ(vec.accumulate_pair_count(dx, dw, x, w, 0.5, 8), 4u);
+  EXPECT_EQ(dx[4], 0.0);  // the halved smallest subnormal rounds to 0
+  EXPECT_EQ(dw[6], 0.0);
+  EXPECT_TRUE(std::isnan(dx[1]));
+  EXPECT_EQ(dx[2], kInf);
 }
 
 TEST_P(SimdKernelSweep, UnalignedHeadsMatchScalar) {

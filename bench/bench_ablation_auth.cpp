@@ -126,12 +126,12 @@ AuthOutcome run_secured_gossip(const trust::SparseMatrix& s, bool authenticate,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::telemetry_init("ablation_auth", argc, argv);
+  bench::init("ablation_auth", argc, argv);
   bench::print_preamble("ABL-AUTH identity-based message authentication",
                         "section 7 innovation: secure gossip communication");
-  const std::size_t n = quick_mode() ? 64 : 128;
+  const std::size_t n = bench::quick_mode() ? 64 : 128;
   const std::vector<double> tamper_rates =
-      quick_mode() ? std::vector<double>{0.1}
+      bench::quick_mode() ? std::vector<double>{0.1}
                    : std::vector<double>{0.0, 0.05, 0.1, 0.2};
 
   Table table("Vector gossip with tampering relays, n = " + std::to_string(n) +

@@ -20,13 +20,13 @@
 using namespace gt;
 
 int main(int argc, char** argv) {
-  bench::telemetry_init("ablation_bloom", argc, argv);
+  bench::init("ablation_bloom", argc, argv);
   bench::print_preamble("ABL-BLOOM reputation storage tradeoff",
                         "section 7 innovation: Bloom-filter score storage");
-  const std::size_t n = quick_mode() ? 1000 : 4000;
+  const std::size_t n = bench::quick_mode() ? 1000 : 4000;
 
   // One converged reputation vector to store.
-  const auto w = bench::ThreatWorkload::make_clean(n, base_seed());
+  const auto w = bench::ThreatWorkload::make_clean(n, bench::knobs().seed);
   const auto scores = baseline::power_iteration(w.honest, 0.15, 0.01).scores;
   const std::size_t explicit_bytes = n * 16;  // <id8, double8> per peer
 
@@ -36,11 +36,11 @@ int main(int argc, char** argv) {
   table.set_header({"bits/peer", "buckets", "bytes", "vs explicit",
                     "mean |log err|", "kendall tau", "power overlap"});
 
-  const std::vector<double> budgets = quick_mode()
+  const std::vector<double> budgets = bench::quick_mode()
                                           ? std::vector<double>{8.0, 16.0}
                                           : std::vector<double>{4.0, 8.0, 16.0, 32.0};
   const std::vector<std::size_t> bucket_counts =
-      quick_mode() ? std::vector<std::size_t>{8}
+      bench::quick_mode() ? std::vector<std::size_t>{8}
                    : std::vector<std::size_t>{4, 8, 16};
 
   const auto true_power = core::select_power_nodes(scores, 0.01);

@@ -68,10 +68,10 @@ ChurnOutcome run_with_dynamics(std::size_t n, double churn, double loss,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::telemetry_init("ablation_churn", argc, argv);
+  bench::init("ablation_churn", argc, argv);
   bench::print_preamble("ABL-CHURN peer dynamics and link failures",
                         "design goals (section 3) / conclusions (section 7)");
-  const std::size_t n = quick_mode() ? 200 : 500;
+  const std::size_t n = bench::quick_mode() ? 200 : 500;
 
   Table table("Neighbors-only gossip over a live overlay, n = " +
               std::to_string(n) + ", 10% independent malicious, 8 cycles");
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     double churn, loss;
   };
   const std::vector<Point> points =
-      quick_mode() ? std::vector<Point>{{0.0, 0.0}, {0.05, 0.1}}
+      bench::quick_mode() ? std::vector<Point>{{0.0, 0.0}, {0.05, 0.1}}
                    : std::vector<Point>{{0.0, 0.0},  {0.02, 0.0}, {0.05, 0.0},
                                         {0.10, 0.0}, {0.0, 0.05}, {0.0, 0.10},
                                         {0.0, 0.20}, {0.05, 0.10}};

@@ -13,16 +13,16 @@
 using namespace gt;
 
 int main(int argc, char** argv) {
-  bench::telemetry_init("ablation_power_nodes", argc, argv);
+  bench::init("ablation_power_nodes", argc, argv);
   bench::print_preamble("ABL-PN greedy factor / power-node fraction sweep",
                         "design-choice ablation (paper sections 2, 6.3)");
-  const std::size_t n = quick_mode() ? 300 : 1000;
+  const std::size_t n = bench::quick_mode() ? 300 : 1000;
   const double gamma = 0.10;  // 10% collusive in gangs of 5: the hard case
   const std::vector<double> alphas =
-      quick_mode() ? std::vector<double>{0.0, 0.15, 0.3}
+      bench::quick_mode() ? std::vector<double>{0.0, 0.15, 0.3}
                    : std::vector<double>{0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5};
   const std::vector<double> q_fracs =
-      quick_mode() ? std::vector<double>{0.01}
+      bench::quick_mode() ? std::vector<double>{0.01}
                    : std::vector<double>{0.005, 0.01, 0.02};
 
   Table table("Honest-peer RMS error, 10% collusive (groups of 5), n = " +

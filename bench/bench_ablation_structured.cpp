@@ -23,10 +23,10 @@
 using namespace gt;
 
 int main(int argc, char** argv) {
-  bench::telemetry_init("ablation_structured", argc, argv);
+  bench::init("ablation_structured", argc, argv);
   bench::print_preamble("ABL-DHT structured variant comparison",
                         "section 7: GossipTrust over a DHT substrate");
-  const std::vector<std::size_t> sizes = quick_mode()
+  const std::vector<std::size_t> sizes = bench::quick_mode()
                                              ? std::vector<std::size_t>{256}
                                              : std::vector<std::size_t>{512, 1024};
 

@@ -16,13 +16,13 @@
 using namespace gt;
 
 int main(int argc, char** argv) {
-  bench::telemetry_init("ablation_ttl", argc, argv);
+  bench::init("ablation_ttl", argc, argv);
   bench::print_preamble("ABL-TTL query flooding scope",
                         "section 6.4 flooding-cost tradeoff");
-  const std::size_t n = quick_mode() ? 200 : 500;
-  const std::size_t num_files = quick_mode() ? 10000 : 30000;
+  const std::size_t n = bench::quick_mode() ? 200 : 500;
+  const std::size_t num_files = bench::quick_mode() ? 10000 : 30000;
   const std::vector<std::size_t> ttls =
-      quick_mode() ? std::vector<std::size_t>{2, 7}
+      bench::quick_mode() ? std::vector<std::size_t>{2, 7}
                    : std::vector<std::size_t>{1, 2, 3, 4, 5, 7};
 
   Table table("n = " + std::to_string(n) + ", 20% malicious, " +
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       overlay::OverlayManager om(graph::make_gnutella_like(n, rng));
 
       filesharing::SimulationConfig scfg;
-      scfg.total_queries = quick_mode() ? 1000 : 3000;
+      scfg.total_queries = bench::quick_mode() ? 1000 : 3000;
       scfg.queries_per_refresh = 1000;
       scfg.flood_ttl = ttl;
       scfg.policy = filesharing::SelectionPolicy::kHighestReputation;

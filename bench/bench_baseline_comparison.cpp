@@ -25,10 +25,10 @@
 using namespace gt;
 
 int main(int argc, char** argv) {
-  bench::telemetry_init("baseline_comparison", argc, argv);
+  bench::init("baseline_comparison", argc, argv);
   bench::print_preamble("COMPARE related-work comparison",
                         "section 2 positioning, common workload");
-  const std::size_t n = quick_mode() ? 300 : 1000;
+  const std::size_t n = bench::quick_mode() ? 300 : 1000;
   const double gamma = 0.2;
 
   struct Row {

@@ -1,39 +1,33 @@
 // Shared helpers for the paper-reproduction benchmark binaries.
 //
-// Every bench runs standalone with no arguments, prints the paper-style
-// table/series, and honors:
+// Every bench runs standalone and prints the paper-style table/series.
+// bench::init() reads these knobs at the top of main (README's table has
+// each one's range and default); a bad value, or any argument but
+// --telemetry/--trace, exits 2 naming it:
 //   GT_QUICK=1        -> shrink sweeps (CI smoke run)
-//   GT_SEEDS=k        -> simulation runs averaged per data point (default 10/3)
-//   GT_SEED=s         -> base seed
-//   GT_THREADS=t      -> gossip kernel lanes (default 1; 0 = hardware)
-//   GT_TELEMETRY=path -> write a JSONL event log next to the table output
-//                        (equivalent: --telemetry <path> on the command line;
-//                        fold it into tables with scripts/report.py)
-//   GT_TRACE=path     -> record a binary causal trace (equivalent: --trace
-//                        <path>; inspect with tools/trace_analyze, export to
-//                        Perfetto with its --perfetto flag)
-//   GT_SIMD=level     -> VectorGossip kernel ISA: off|scalar|auto|avx2|avx512
-//                        (default auto = best the CPU supports; results are
-//                        bit-identical at every level — this only moves
-//                        speed, which is exactly what the scalar-vs-SIMD
-//                        bench pairs measure). SIMD lives only in
-//                        VectorGossip; the sharded engine is plain loops,
-//                        and NEON returns with an aarch64 runner.
+//   GT_SEEDS=k        -> runs averaged per data point (10, or 3 quick)
+//   GT_SEED=s         -> base seed (42)
+//   GT_THREADS=t      -> gossip kernel lanes (1; 0 = hardware)
+//   GT_TELEMETRY=path -> JSONL event log (or --telemetry; scripts/report.py)
+//   GT_TRACE=path     -> binary causal trace (or --trace; tools/trace_analyze)
+//   GT_CSV_DIR=dir    -> also write <dir>/<table>.csv
+//   GT_SIMD=level     -> VectorGossip kernel ISA (bit-identical at every level)
+//   GT_LOG_LEVEL=lvl  -> diagnostic logging (off)
 #pragma once
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
+#include "common/knob.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/engine.hpp"
+#include "simd/simd.hpp"
 #include "telemetry/event_log.hpp"
 #include "trace/trace.hpp"
 #include "threat/models.hpp"
@@ -83,9 +77,20 @@ struct ThreatWorkload {
   }
 };
 
-/// Gossip kernel lanes for engine-driven benches (GT_THREADS, default 1 so
-/// published numbers stay single-thread comparable; 0 = hardware).
-inline std::size_t gossip_threads() { return env_size("GT_THREADS", 1); }
+/// The bench knobs (see the header comment), filled in by init().
+struct Knobs {
+  bool quick = false;
+  std::size_t seeds = 0;    ///< 0 = unset: 10 (the paper's >= 10), 3 quick
+  std::uint64_t seed = 42;
+  std::size_t threads = 1;  ///< 1 keeps published numbers single-thread comparable
+  std::string telemetry, trace, csv_dir;
+};
+
+inline Knobs& knobs() {
+  static Knobs k;
+  return k;
+}
+inline bool quick_mode() { return knobs().quick; }
 
 namespace detail {
 inline std::unique_ptr<telemetry::EventLog>& event_log_storage() {
@@ -101,50 +106,60 @@ inline std::unique_ptr<trace::TraceSink>& trace_sink_storage() {
 }
 }  // namespace detail
 
-/// The bench-wide JSONL event log; null until telemetry_init() enables it.
+/// The bench-wide JSONL event log; null until init() enables it.
 inline telemetry::EventLog* event_log() { return detail::event_log_storage().get(); }
 
-/// The bench-wide binary trace sink; null until telemetry_init() enables it.
+/// The bench-wide binary trace sink; null until init() enables it.
 inline trace::TraceSink* trace_sink() { return detail::trace_sink_storage().get(); }
 
-/// Enables the JSONL event log when `--telemetry <path>` was passed or
-/// GT_TELEMETRY is set, and the binary causal trace when `--trace <path>`
-/// or GT_TRACE is set (flags win). Call once at the top of main with the
-/// bench's name; returns the log (null = disabled). Both sinks flush and
-/// close at process exit; when both are enabled, trace records are also
-/// mirrored into the JSONL log as `trace`/`probe` records.
-inline telemetry::EventLog* telemetry_init(const char* bench_name, int argc,
-                                           char** argv) {
-  std::string path = env_string("GT_TELEMETRY", "");
-  std::string trace_path = env_string("GT_TRACE", "");
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--telemetry") == 0) path = argv[i + 1];
-    if (std::strcmp(argv[i], "--trace") == 0) trace_path = argv[i + 1];
-  }
+/// Call once at the top of main with the bench's name. Parses every bench
+/// knob, exiting 2 on a bad one before any work, then enables the JSONL
+/// event log and the binary causal trace when their paths are set; returns
+/// the log (null = disabled). Both sinks flush and close at process exit;
+/// when both are enabled, trace records are also mirrored into the JSONL
+/// log as `trace`/`probe` records.
+inline telemetry::EventLog* init(const char* bench_name, int argc, char** argv) {
+  Knobs& k = knobs();
+  knob::Cli(std::string("bench_") + bench_name,
+      {{"GT_QUICK", "", knob::into(k.quick)},
+       {"GT_SEEDS", "", knob::into(k.seeds, 1)},
+       {"GT_SEED", "", knob::into(k.seed)},
+       {"GT_THREADS", "", knob::into(k.threads, 0, knob::kMaxThreads)},
+       {"GT_TELEMETRY", "", knob::into(k.telemetry)},
+       {"GT_TRACE", "", knob::into(k.trace)},
+       {"GT_CSV_DIR", "", knob::into(k.csv_dir)},
+       {"GT_SIMD", "", [](std::string_view, std::string_view text) {
+         (void)simd::parse_level(text);
+       }},
+       {"--telemetry", "PATH", knob::into(k.telemetry)},
+       {"--trace", "PATH", knob::into(k.trace)}})
+      .parse_or_exit(argc, argv);
+  if (k.seeds == 0) k.seeds = k.quick ? 3 : 10;
+
   auto& log = detail::event_log_storage();
-  if (!path.empty()) {
+  if (!k.telemetry.empty()) {
     telemetry::EventLogConfig cfg;
-    cfg.path = path;
+    cfg.path = k.telemetry;
     log = std::make_unique<telemetry::EventLog>(cfg);
     if (!log->enabled()) {
       log.reset();
     } else {
       log->set_context("bench", std::string(bench_name));
-      log->set_context("threads", static_cast<std::uint64_t>(gossip_threads()));
-      log->set_context("seed", base_seed());
+      log->set_context("threads", static_cast<std::uint64_t>(k.threads));
+      log->set_context("seed", k.seed);
       log->set_context(
           "simd",
           std::string(simd::level_name(simd::resolve_level(simd::SimdLevel::kAuto))));
-      std::printf("[telemetry -> %s]\n", path.c_str());
+      std::printf("[telemetry -> %s]\n", k.telemetry.c_str());
     }
   }
-  if (!trace_path.empty()) {
+  if (!k.trace.empty()) {
     trace::TraceConfig tcfg;
-    tcfg.path = trace_path;
+    tcfg.path = k.trace;
     auto& sink = detail::trace_sink_storage();
     sink = std::make_unique<trace::TraceSink>(tcfg);
     if (log) sink->set_event_log(log.get());
-    std::printf("[trace -> %s]\n", trace_path.c_str());
+    std::printf("[trace -> %s]\n", k.trace.c_str());
   }
   return log.get();
 }
@@ -161,8 +176,8 @@ inline void attach_engine(core::GossipTrustEngine& engine,
 /// Seeds for one data point.
 inline std::vector<std::uint64_t> point_seeds() {
   std::vector<std::uint64_t> seeds;
-  const auto base = base_seed();
-  for (std::size_t k = 0; k < runs_per_point(); ++k)
+  const auto base = knobs().seed;
+  for (std::size_t k = 0; k < knobs().seeds; ++k)
     seeds.push_back(base + 1000 * (k + 1));
   return seeds;
 }
@@ -171,7 +186,7 @@ inline std::vector<std::uint64_t> point_seeds() {
 /// <dir>/<name>.csv for plotting scripts.
 inline void emit(const Table& table, const char* name) {
   table.print(std::cout);
-  const auto dir = env_string("GT_CSV_DIR", "");
+  const std::string& dir = knobs().csv_dir;
   if (!dir.empty()) {
     const std::string path = dir + "/" + name + ".csv";
     std::ofstream csv(path);
@@ -189,7 +204,7 @@ inline void print_preamble(const char* experiment, const char* paper_artifact) {
   std::printf("reproduces: %s\n", paper_artifact);
   std::printf("runs per data point: %zu%s (GT_SEEDS overrides; GT_QUICK=1 "
               "shrinks the sweep)\n\n",
-              runs_per_point(), quick_mode() ? " [quick mode]" : "");
+              knobs().seeds, quick_mode() ? " [quick mode]" : "");
 }
 
 }  // namespace gt::bench

@@ -17,15 +17,15 @@
 using namespace gt;
 
 int main(int argc, char** argv) {
+  auto* telemetry = bench::init("fig3_gossip_steps", argc, argv);
   bench::print_preamble("FIG3 gossip step counts",
                         "Figure 3 (section 6.2, convergence overhead)");
-  auto* telemetry = bench::telemetry_init("fig3_gossip_steps", argc, argv);
 
   const std::vector<std::size_t> sizes =
-      quick_mode() ? std::vector<std::size_t>{250, 500}
+      bench::quick_mode() ? std::vector<std::size_t>{250, 500}
                    : std::vector<std::size_t>{500, 1000, 2000};
   const std::vector<double> thresholds =
-      quick_mode() ? std::vector<double>{1e-1, 1e-3, 1e-5}
+      bench::quick_mode() ? std::vector<double>{1e-1, 1e-3, 1e-5}
                    : std::vector<double>{1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6};
 
   Table table("Gossip steps per aggregation cycle");
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
         gossip::PushSumConfig cfg;
         cfg.epsilon = eps;
         cfg.stable_rounds = 2;
-        cfg.num_threads = bench::gossip_threads();
+        cfg.num_threads = bench::knobs().threads;
         gossip::VectorGossip vg(n, cfg);
         if (telemetry != nullptr) vg.set_event_log(telemetry, 16);
         if (auto* sink = bench::trace_sink()) vg.set_trace(sink);

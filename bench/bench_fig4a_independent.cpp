@@ -22,13 +22,13 @@
 using namespace gt;
 
 int main(int argc, char** argv) {
-  bench::telemetry_init("fig4a_independent", argc, argv);
+  bench::init("fig4a_independent", argc, argv);
   bench::print_preamble("FIG4A independent malicious peers",
                         "Figure 4(a) (section 6.3, robustness)");
-  const std::size_t n = quick_mode() ? 300 : 1000;
+  const std::size_t n = bench::quick_mode() ? 300 : 1000;
   const double power_fraction = 0.01;
   const std::vector<double> fractions =
-      quick_mode() ? std::vector<double>{0.1, 0.3}
+      bench::quick_mode() ? std::vector<double>{0.1, 0.3}
                    : std::vector<double>{0.05, 0.1, 0.2, 0.3, 0.4};
   const std::vector<double> alphas{0.0, 0.15, 0.3};
 

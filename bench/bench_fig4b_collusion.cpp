@@ -19,14 +19,14 @@
 using namespace gt;
 
 int main(int argc, char** argv) {
-  bench::telemetry_init("fig4b_collusion", argc, argv);
+  bench::init("fig4b_collusion", argc, argv);
   bench::print_preamble("FIG4B collusive peers",
                         "Figure 4(b) (section 6.3, collusion robustness)");
-  const std::size_t n = quick_mode() ? 300 : 1000;
+  const std::size_t n = bench::quick_mode() ? 300 : 1000;
   const double power_fraction = 0.01;
   const std::vector<double> fractions{0.05, 0.10};
   const std::vector<std::size_t> group_sizes =
-      quick_mode() ? std::vector<std::size_t>{2, 6}
+      bench::quick_mode() ? std::vector<std::size_t>{2, 6}
                    : std::vector<std::size_t>{2, 4, 6, 8, 10, 15};
 
   Table table("Honest-peer RMS aggregation error (Eq. 8), n = " +

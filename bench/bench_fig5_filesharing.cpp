@@ -62,7 +62,7 @@ filesharing::SimulationStats run_system(std::size_t n, std::size_t num_files,
   }
 
   filesharing::SimulationConfig scfg;
-  scfg.total_queries = quick_mode() ? 2000 : 6000;
+  scfg.total_queries = bench::quick_mode() ? 2000 : 6000;
   scfg.queries_per_refresh = 1000;  // paper: update after 1,000 queries
   scfg.policy = policy;
   filesharing::SharingSimulation sim(scfg, catalog, workload, om, peers, provider);
@@ -73,13 +73,13 @@ filesharing::SimulationStats run_system(std::size_t n, std::size_t num_files,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::telemetry_init("fig5_filesharing", argc, argv);
+  bench::init("fig5_filesharing", argc, argv);
   bench::print_preamble("FIG5 P2P file-sharing query success rate",
                         "Figure 5 (section 6.4, file-sharing benchmark)");
-  const std::size_t n = quick_mode() ? 300 : 1000;
-  const std::size_t num_files = quick_mode() ? 20000 : 100000;
+  const std::size_t n = bench::quick_mode() ? 300 : 1000;
+  const std::size_t num_files = bench::quick_mode() ? 20000 : 100000;
   const std::vector<double> fractions =
-      quick_mode() ? std::vector<double>{0.0, 0.2}
+      bench::quick_mode() ? std::vector<double>{0.0, 0.2}
                    : std::vector<double>{0.0, 0.05, 0.1, 0.15, 0.2, 0.3};
 
   Table table("Query success rate, n = " + std::to_string(n) + ", " +

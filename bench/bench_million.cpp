@@ -12,20 +12,18 @@
 //
 // Output is one JSON document on stdout (scripts/bench_record.py folds it
 // into BENCH_6.json); progress narration goes to stderr. The bench takes
-// no arguments (any argument is rejected). GT_QUICK=1 shrinks to the
-// CI-gated 50k-node case; GT_MILLION_N overrides n explicitly (>= 2);
-// GT_THREADS sets the worker count (>= 1, default 1). A value that is not
-// a whole number in range exits 2 with a message rather than falling back.
-#include <cerrno>
+// no arguments. GT_QUICK=1 shrinks to the CI-gated 50k-node case;
+// GT_MILLION_N overrides n explicitly (>= 2); GT_THREADS sets the worker
+// count (1..knob::kMaxThreads, default 1). Any argument, or a value that
+// does not parse in range, exits 2 with a message.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bloom/score_store.hpp"
-#include "common/config.hpp"
+#include "common/knob.hpp"
 #include "common/rng.hpp"
 #include "gossip/sharded_gossip.hpp"
 #include "graph/csr.hpp"
@@ -33,42 +31,16 @@
 
 using namespace gt;
 
-namespace {
-
-/// Strict whole-number env knob: unset or empty -> fallback; otherwise
-/// the value must be all decimal digits, fit in size_t and be >= min, or
-/// the bench exits 2 naming the variable.
-std::size_t env_count(const char* name, std::size_t min,
-                      std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (*raw < '0' || *raw > '9' || *end != '\0' || errno == ERANGE ||
-      v < min) {
-    std::fprintf(stderr,
-                 "bench_million: %s='%s' is not a whole number >= %zu\n",
-                 name, raw, min);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(v);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  if (argc > 1) {
-    std::fprintf(stderr,
-                 "bench_million: unexpected argument '%s' (the bench takes "
-                 "none; use GT_QUICK=1, GT_MILLION_N, GT_THREADS)\n",
-                 argv[1]);
-    return 2;
-  }
-  const bool quick = quick_mode();
-  const std::size_t n =
-      env_count("GT_MILLION_N", 2, quick ? 50'000 : 1'000'000);
-  const std::size_t threads = env_count("GT_THREADS", 1, 1);
+  bool quick = false;
+  std::size_t n = 0;  // 0 = unset: 1M, or 50k with GT_QUICK
+  std::size_t threads = 1;
+  knob::Cli("bench_million",
+            {{"GT_QUICK", "", knob::into(quick)},
+             {"GT_MILLION_N", "", knob::into(n, 2)},
+             {"GT_THREADS", "", knob::into(threads, 1, knob::kMaxThreads)}})
+      .parse_or_exit(argc, argv);
+  if (n == 0) n = quick ? 50'000 : 1'000'000;
   const char* mode = quick ? "quick" : "full";
   std::fprintf(stderr, "bench_million: n=%zu mode=%s threads=%zu\n", n, mode,
                threads);

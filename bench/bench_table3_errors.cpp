@@ -22,10 +22,10 @@
 using namespace gt;
 
 int main(int argc, char** argv) {
-  bench::telemetry_init("table3_errors", argc, argv);
+  bench::init("table3_errors", argc, argv);
   bench::print_preamble("TAB3 gossip and aggregation errors",
                         "Table 3 (section 6.3, error analysis)");
-  const std::size_t n = quick_mode() ? 300 : 1000;
+  const std::size_t n = bench::quick_mode() ? 300 : 1000;
 
   struct Setting {
     double eps;

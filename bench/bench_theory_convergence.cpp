@@ -14,12 +14,12 @@
 using namespace gt;
 
 int main(int argc, char** argv) {
-  bench::telemetry_init("theory_convergence", argc, argv);
+  bench::init("theory_convergence", argc, argv);
   bench::print_preamble("THEORY convergence bound d <= ceil(log_b delta)",
                         "section 4.1 cycle-count bound, b = lambda2/lambda1");
   const double delta = 1e-4;
   const std::vector<std::size_t> sizes =
-      quick_mode() ? std::vector<std::size_t>{200}
+      bench::quick_mode() ? std::vector<std::size_t>{200}
                    : std::vector<std::size_t>{200, 500, 1000};
 
   Table table("delta = 1e-4, undamped iteration (alpha = 0)");

@@ -5,8 +5,8 @@
 //
 //   $ ./async_gossip_demo [n] [loss_pct]
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/knob.hpp"
 #include "common/stats.hpp"
 #include "gossip/async_gossip.hpp"
 #include "trust/feedback.hpp"
@@ -15,8 +15,13 @@
 using namespace gt;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 100;
-  const double loss = argc > 2 ? std::strtod(argv[2], nullptr) / 100.0 : 5.0 / 100.0;
+  std::size_t n = 100;
+  double loss_pct = 5.0;
+  knob::Cli("async_gossip_demo",
+            {{"N", "", knob::into(n, 10)},
+             {"LOSS_PCT", "", knob::into(loss_pct, 0.0, 100.0)}})
+      .parse_or_exit(argc, argv);
+  const double loss = loss_pct / 100.0;
 
   // Trust workload.
   Rng rng(31);

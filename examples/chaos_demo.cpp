@@ -12,8 +12,8 @@
 // inspect it with tools/trace_analyze or export it to Perfetto.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/knob.hpp"
 #include "common/stats.hpp"
 #include "fault/fault_injector.hpp"
 #include "gossip/async_gossip.hpp"
@@ -25,9 +25,14 @@
 using namespace gt;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 50;
-  const char* log_path = argc > 2 ? argv[2] : "chaos_events.jsonl";
-  const char* trace_path = argc > 3 ? argv[3] : "";
+  std::size_t n = 50;
+  std::string log_path = "chaos_events.jsonl";
+  std::string trace_path;
+  knob::Cli("chaos_demo",
+            {{"N", "", knob::into(n, 10)},
+             {"EVENTS.jsonl", "", knob::into(log_path)},
+             {"TRACE.bin", "", knob::into(trace_path)}})
+      .parse_or_exit(argc, argv);
 
   // Trust workload.
   Rng rng(31);
@@ -90,14 +95,14 @@ int main(int argc, char** argv) {
 
   std::printf("chaos: n=%zu, crash %zu nodes at t=5, partition [10, 60), "
               "repair on, events -> %s\n",
-              n, n / 10, log_path);
+              n, n / 10, log_path.c_str());
   Rng grng(33);
   gossip.run(grng);
   scheduler.run_until();  // drain retries, acks, suspicion expiries
   const auto& res = gossip.stats();
   if (trace_sink.enabled()) {
     trace_sink.finish();
-    std::printf("trace -> %s (%llu records emitted)\n", trace_path,
+    std::printf("trace -> %s (%llu records emitted)\n", trace_path.c_str(),
                 static_cast<unsigned long long>(trace_sink.records_emitted()));
   }
   events.flush();

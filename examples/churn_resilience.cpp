@@ -4,10 +4,10 @@
 //
 //   $ ./churn_resilience [n] [churn_pct_per_cycle]
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "baseline/power_iteration.hpp"
+#include "common/knob.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/engine.hpp"
@@ -19,8 +19,13 @@
 using namespace gt;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 300;
-  const double churn = argc > 2 ? std::strtod(argv[2], nullptr) / 100.0 : 0.05;
+  std::size_t n = 300;
+  double churn_pct = 5.0;
+  knob::Cli("churn_resilience",
+            {{"N", "", knob::into(n, 10)},
+             {"CHURN_PCT", "", knob::into(churn_pct, 0.0, 100.0)}})
+      .parse_or_exit(argc, argv);
+  const double churn = churn_pct / 100.0;
 
   Rng rng(21);
   overlay::OverlayManager om(graph::make_gnutella_like(n, rng));

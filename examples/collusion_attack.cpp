@@ -6,10 +6,10 @@
 //
 //   $ ./collusion_attack [n] [group_size]
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "baseline/power_iteration.hpp"
+#include "common/knob.hpp"
 #include "common/table.hpp"
 #include "core/engine.hpp"
 #include "core/qos_qof.hpp"
@@ -19,8 +19,12 @@
 using namespace gt;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 400;
-  const std::size_t group_size = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 5;
+  std::size_t n = 400;
+  std::size_t group_size = 5;
+  knob::Cli("collusion_attack",
+            {{"N", "", knob::into(n, 10)},
+             {"GROUP_SIZE", "", knob::into(group_size, 1)}})
+      .parse_or_exit(argc, argv);
 
   Rng rng(11);
   threat::ThreatConfig tcfg;

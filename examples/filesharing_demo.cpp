@@ -5,10 +5,10 @@
 //
 //   $ ./filesharing_demo [n] [malicious_pct]
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "baseline/local_only.hpp"
+#include "common/knob.hpp"
 #include "common/table.hpp"
 #include "core/engine.hpp"
 #include "filesharing/simulation.hpp"
@@ -60,9 +60,13 @@ filesharing::SimulationStats run_system(std::size_t n, double malicious,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 500;
-  const double malicious =
-      argc > 2 ? std::strtod(argv[2], nullptr) / 100.0 : 0.20;
+  std::size_t n = 500;
+  double malicious_pct = 20.0;
+  knob::Cli("filesharing_demo",
+            {{"N", "", knob::into(n, 10)},
+             {"MALICIOUS_PCT", "", knob::into(malicious_pct, 0.0, 100.0)}})
+      .parse_or_exit(argc, argv);
+  const double malicious = malicious_pct / 100.0;
   std::printf("file sharing on %zu peers, %.0f%% malicious, 20k files, "
               "5000 queries\n\n",
               n, malicious * 100);

@@ -4,22 +4,16 @@
 // the power-law feedback workload, aggregates with GossipTrust, and prints
 // the full report (convergence, overhead, error vs exact, attack metrics).
 //
-//   $ ./gossiptrust_sim [options]
-//     --n N            peers (default 500)
-//     --malicious P    malicious percentage 0..100 (default 20)
-//     --collusive      collusive instead of independent attackers
-//     --group G        collusion group size (default 5)
-//     --alpha A        greedy factor (default 0.15)
-//     --epsilon E      gossip threshold (default 1e-4)
-//     --delta D        aggregation threshold (default 1e-3)
-//     --loss P         gossip message loss probability (default 0)
-//     --seed S         base seed (default 42)
+//   $ ./gossiptrust_sim [--n N] [--malicious PCT] [--collusive]
+//         [--group G] [--alpha A] [--epsilon E] [--delta D] [--loss P] [--seed S]
+//
+// Defaults (Options below) are the paper's Table 2 values with 20%
+// malicious peers; --loss is a gossip message-loss probability.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "baseline/power_iteration.hpp"
+#include "common/knob.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/engine.hpp"
@@ -33,7 +27,7 @@ namespace {
 
 struct Options {
   std::size_t n = 500;
-  double malicious = 0.20;
+  double malicious_pct = 20.0;
   bool collusive = false;
   std::size_t group = 5;
   double alpha = 0.15;
@@ -43,49 +37,25 @@ struct Options {
   std::uint64_t seed = 42;
 };
 
-Options parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    auto need_value = [&](const char* flag) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--n")) {
-      opt.n = std::strtoul(need_value("--n"), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--malicious")) {
-      opt.malicious = std::strtod(need_value("--malicious"), nullptr) / 100.0;
-    } else if (!std::strcmp(argv[i], "--collusive")) {
-      opt.collusive = true;
-    } else if (!std::strcmp(argv[i], "--group")) {
-      opt.group = std::strtoul(need_value("--group"), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--alpha")) {
-      opt.alpha = std::strtod(need_value("--alpha"), nullptr);
-    } else if (!std::strcmp(argv[i], "--epsilon")) {
-      opt.epsilon = std::strtod(need_value("--epsilon"), nullptr);
-    } else if (!std::strcmp(argv[i], "--delta")) {
-      opt.delta = std::strtod(need_value("--delta"), nullptr);
-    } else if (!std::strcmp(argv[i], "--loss")) {
-      opt.loss = std::strtod(need_value("--loss"), nullptr);
-    } else if (!std::strcmp(argv[i], "--seed")) {
-      opt.seed = std::strtoull(need_value("--seed"), nullptr, 10);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", argv[i]);
-      std::exit(2);
-    }
-  }
-  return opt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
+  using knob::into;
+  Options opt;
+  knob::Cli("gossiptrust_sim",
+      {{"--n", "N", into(opt.n, 2)},
+       {"--malicious", "PCT", into(opt.malicious_pct, 0.0, 100.0)},
+       {"--collusive", "", into(opt.collusive)},
+       {"--group", "G", into(opt.group, 1)},
+       {"--alpha", "A", into(opt.alpha, 0.0, 1.0)},
+       {"--epsilon", "E", into(opt.epsilon, 0.0)},
+       {"--delta", "D", into(opt.delta, 0.0)},
+       {"--loss", "P", into(opt.loss, 0.0, 1.0)},
+       {"--seed", "S", into(opt.seed)}})
+      .parse_or_exit(argc, argv);
   std::printf("GossipTrust simulator: n=%zu malicious=%.0f%%%s alpha=%.2f "
               "eps=%g delta=%g loss=%.2f seed=%llu\n\n",
-              opt.n, opt.malicious * 100, opt.collusive ? " (collusive)" : "",
+              opt.n, opt.malicious_pct, opt.collusive ? " (collusive)" : "",
               opt.alpha, opt.epsilon, opt.delta, opt.loss,
               static_cast<unsigned long long>(opt.seed));
 
@@ -93,7 +63,7 @@ int main(int argc, char** argv) {
   Rng rng(opt.seed);
   threat::ThreatConfig tcfg;
   tcfg.n = opt.n;
-  tcfg.malicious_fraction = opt.malicious;
+  tcfg.malicious_fraction = opt.malicious_pct / 100.0;
   tcfg.collusive = opt.collusive;
   tcfg.collusion_group_size = opt.group;
   const auto peers = threat::make_population(tcfg, rng);
@@ -146,7 +116,7 @@ int main(int argc, char** argv) {
                format_exp(rms_relative_error(exact_attacked.scores, run.scores), 2)});
   acc.add_row({"ranking tau vs exact",
                cell(kendall_tau(exact_attacked.scores, run.scores), 4)});
-  if (opt.malicious > 0.0) {
+  if (opt.malicious_pct > 0.0) {
     acc.add_row({"honest-peer RMS vs honest reference (Eq. 8)",
                  cell(threat::honest_rms_error(peers, reference.scores, run.scores),
                       4)});

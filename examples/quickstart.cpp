@@ -7,10 +7,10 @@
 // Walks through the full public API surface a downstream user touches:
 // FeedbackLedger -> SparseMatrix -> GossipTrustEngine -> scores.
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "baseline/power_iteration.hpp"
+#include "common/knob.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/engine.hpp"
@@ -18,7 +18,9 @@
 #include "trust/generator.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 200;
+  std::size_t n = 200;
+  gt::knob::Cli("quickstart", {{"N", "", gt::knob::into(n, 10)}})
+      .parse_or_exit(argc, argv);
   const std::size_t n_malicious = n / 10;
   gt::Rng rng(42);
 

@@ -2,29 +2,18 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+
+#include "common/knob.hpp"
 
 namespace gt {
 namespace {
 
-LogLevel parse_level_name(const char* v) {
-  if (std::strcmp(v, "debug") == 0) return LogLevel::kDebug;
-  if (std::strcmp(v, "info") == 0) return LogLevel::kInfo;
-  if (std::strcmp(v, "warn") == 0) return LogLevel::kWarn;
-  if (std::strcmp(v, "error") == 0) return LogLevel::kError;
-  return LogLevel::kOff;
-}
-
 LogLevel parse_level_env() {
-  // GT_LOG_LEVEL is the level filter (takes precedence, so telemetry-enabled
-  // bench runs can raise the threshold above GT_LOG's debug spew); GT_LOG is
-  // the legacy switch. Default stays off.
-  if (const char* v = std::getenv("GT_LOG_LEVEL"); v && *v)
-    return parse_level_name(v);
-  if (const char* v = std::getenv("GT_LOG"); v && *v)
-    return parse_level_name(v);
-  return LogLevel::kOff;
+  // The names in LogLevel order, so the index is the level.
+  const auto v = knob::env("GT_LOG_LEVEL");
+  if (!v) return LogLevel::kOff;
+  return static_cast<LogLevel>(knob::to_choice(
+      "GT_LOG_LEVEL", *v, {"debug", "info", "warn", "error", "off"}));
 }
 
 std::atomic<int>& level_storage() {

@@ -1,6 +1,6 @@
 // Leveled logger for simulations. Off by default so benchmark output stays
-// clean; enable with GT_LOG_LEVEL=debug|info|warn|error|off (takes
-// precedence), the legacy GT_LOG equivalent, or programmatically.
+// clean; enable with GT_LOG_LEVEL=debug|info|warn|error|off or
+// programmatically. Any other GT_LOG_LEVEL value is a knob error.
 #pragma once
 
 #include <sstream>
@@ -10,7 +10,7 @@ namespace gt {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global minimum level; initialized from GT_LOG on first use.
+/// Global minimum level; read strictly from GT_LOG_LEVEL on first use.
 LogLevel log_level();
 void set_log_level(LogLevel level);
 
@@ -37,12 +37,19 @@ class LogStream {
   std::ostringstream ss_;
 };
 
+// Voids GT_LOG's stream arm; `&` binds looser than `<<`.
+struct Voidify {
+  void operator&(const LogStream&) const {}
+};
+
 }  // namespace detail
 
-#define GT_LOG(level_enum)                                  \
-  if (::gt::log_level() > (level_enum)) {                   \
-  } else                                                    \
-    ::gt::detail::LogStream(level_enum)
+// An expression, so an unbraced `if (c) GT_WARN() << x;` has no dangling
+// else. The arguments are evaluated only when the level passes.
+#define GT_LOG(level_enum)                       \
+  (::gt::log_level() > (level_enum))             \
+      ? (void)0                                  \
+      : ::gt::detail::Voidify() & ::gt::detail::LogStream(level_enum)
 
 #define GT_DEBUG() GT_LOG(::gt::LogLevel::kDebug)
 #define GT_INFO() GT_LOG(::gt::LogLevel::kInfo)

@@ -16,7 +16,6 @@
 
 #include "common/rng.hpp"
 #include "graph/topology.hpp"
-#include "simd/simd.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace gt::gossip {
@@ -40,13 +39,6 @@ struct PushSumConfig {
                                     ///< into one wire message per destination
                                     ///< (false = one message per triplet; same
                                     ///< math, different traffic accounting)
-  simd::SimdLevel simd_level = simd::SimdLevel::kAuto;
-                                    ///< VectorGossip kernel ISA — the only
-                                    ///< engine that dispatches; resolved via
-                                    ///< simd::resolve_level at construction
-                                    ///< (GT_SIMD env wins).
-                                    ///< Never changes results — all kernels
-                                    ///< are bit-identical to scalar.
 };
 
 /// Outcome of a push-sum run.

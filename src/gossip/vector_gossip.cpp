@@ -43,7 +43,7 @@ VectorGossip::VectorGossip(std::size_t n, PushSumConfig config, ThreadPool* pool
   if (config_.stable_rounds == 0 || config_.max_steps == 0)
     throw std::invalid_argument(
         "VectorGossip: stable_rounds and max_steps must be >= 1");
-  simd_level_ = simd::resolve_level(config_.simd_level);
+  simd_level_ = simd::resolve_level(simd::SimdLevel::kAuto);
   kn_ = &simd::kernels(simd_level_);
   simd::assert_aligned(x_.data(), simd::kAlignment, "VectorGossip::x_");
   simd::assert_aligned(w_.data(), simd::kAlignment, "VectorGossip::w_");

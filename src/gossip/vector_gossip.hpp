@@ -137,8 +137,8 @@ class VectorGossip {
 
   const PushSumConfig& config() const noexcept { return config_; }
 
-  /// Resolved kernel ISA for this instance (config.simd_level after
-  /// GT_SIMD / CPU-capability resolution): kScalar, kAvx2, or kAvx512.
+  /// Resolved kernel ISA for this instance (GT_SIMD, else the best level
+  /// the CPU supports): kScalar, kAvx2, or kAvx512.
   /// Informational only — every level computes bit-identical results.
   simd::SimdLevel simd_level() const noexcept { return simd_level_; }
 

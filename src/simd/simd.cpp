@@ -1,8 +1,8 @@
 #include "simd/simd.hpp"
 
 #include <cstdio>
-#include <stdexcept>
-#include <string>
+
+#include "common/knob.hpp"
 
 namespace gt::simd {
 
@@ -21,13 +21,11 @@ const char* level_name(SimdLevel level) noexcept {
 }
 
 SimdLevel parse_level(std::string_view token) {
-  if (token == "off" || token == "scalar") return SimdLevel::kScalar;
-  if (token == "auto") return SimdLevel::kAuto;
-  if (token == "avx2") return SimdLevel::kAvx2;
-  if (token == "avx512") return SimdLevel::kAvx512;
-  throw std::invalid_argument(
-      "GT_SIMD / SimdLevel: unknown value '" + std::string(token) +
-      "' (expected off|scalar|auto|avx2|avx512)");
+  constexpr SimdLevel kLevels[] = {SimdLevel::kScalar, SimdLevel::kScalar,
+                                   SimdLevel::kAuto, SimdLevel::kAvx2,
+                                   SimdLevel::kAvx512};
+  return kLevels[knob::to_choice("GT_SIMD", token,
+                                 {"off", "scalar", "auto", "avx2", "avx512"})];
 }
 
 bool level_supported(SimdLevel level) noexcept {
@@ -63,8 +61,7 @@ SimdLevel detect_level() noexcept {
 
 SimdLevel resolve_level(SimdLevel configured) {
   SimdLevel wanted = configured;
-  if (const char* env = std::getenv("GT_SIMD"); env != nullptr && *env != '\0')
-    wanted = parse_level(env);
+  if (const auto env = knob::env("GT_SIMD")) wanted = parse_level(*env);
   if (wanted == SimdLevel::kAuto) return detect_level();
   return level_supported(wanted) ? wanted : SimdLevel::kScalar;
 }

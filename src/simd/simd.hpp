@@ -6,11 +6,12 @@
 // VectorGossip construction by resolve_level(). VectorGossip is the only
 // engine that dispatches: the other push-sum engines are plain loops.
 //
-//   1. The GT_SIMD environment variable, when set, wins unconditionally
+//   1. The GT_SIMD environment variable, when set, is the only selector
 //      (values: off | scalar | auto | avx2 | avx512; anything else
-//      throws).
-//      It is the operational kill-switch the CI scalar-fallback leg uses.
-//   2. Otherwise the configured PushSumConfig::simd_level applies.
+//      throws). It is the operational kill-switch the CI scalar-fallback
+//      leg uses and the way tests force a level.
+//   2. Otherwise the level passed to resolve_level() applies (VectorGossip
+//      passes kAuto).
 //   3. kAuto resolves to the best level this CPU supports; a concrete
 //      level the CPU does *not* support degrades to kScalar rather than
 //      faulting on an illegal instruction.
@@ -46,10 +47,9 @@ enum class SimdLevel : std::uint8_t {
 /// telemetry and bench records.
 const char* level_name(SimdLevel level) noexcept;
 
-/// Parses a GT_SIMD-style token: off | scalar | auto | avx2 | avx512
-/// ("off" is an alias for scalar). Throws std::invalid_argument on
-/// anything else — a typo in the kill-switch must be loud, not a silent
-/// fallback to the fast path.
+/// Parses a GT_SIMD token: off (= scalar) | scalar | auto | avx2 | avx512.
+/// Anything else throws knob::Error (a std::invalid_argument): a typo in
+/// the kill-switch must be loud, not a silent fallback to the fast path.
 SimdLevel parse_level(std::string_view token);
 
 /// True when this CPU can execute kernels of `level` (kScalar always;

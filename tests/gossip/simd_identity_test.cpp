@@ -57,15 +57,14 @@ struct VectorRunBits {
 
 VectorRunBits run_vector(std::size_t n, simd::SimdLevel level,
                          std::size_t threads) {
+  // GT_SIMD is the only level selector; force it for this run. The
+  // forced level must actually run, whatever GT_SIMD the suite started with.
+  test_support::ScopedSimdEnv env(simd::level_name(level));
   PushSumConfig cfg;
   cfg.epsilon = 1e-6;
   cfg.stable_rounds = 2;
   cfg.num_threads = threads;
-  cfg.simd_level = level;
   VectorGossip vg(n, cfg);
-  // The forced level must actually run (unless GT_SIMD overrides it, which
-  // resolve_level mirrors — under GT_SIMD=off this whole test degenerates
-  // to scalar-vs-scalar, which is exactly what that override promises).
   EXPECT_EQ(vg.simd_level(), simd::resolve_level(level));
   const auto s = make_matrix(n, 7 + n);
   std::vector<double> v(n, 1.0 / static_cast<double>(n));
@@ -124,7 +123,7 @@ TEST(SimdIdentity, VectorGossipLossPathIdentical) {
   cfg.stable_rounds = 2;
   cfg.loss_probability = 0.2;
   auto run = [&](simd::SimdLevel level) {
-    cfg.simd_level = level;
+    test_support::ScopedSimdEnv env(simd::level_name(level));
     VectorGossip vg(33, cfg);
     const auto s = make_matrix(33, 99);
     std::vector<double> v(33, 1.0 / 33.0);

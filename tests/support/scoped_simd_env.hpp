@@ -1,9 +1,9 @@
 // RAII override of the GT_SIMD kill-switch for tests: sets (or, with
 // nullptr, unsets) the variable for one scope and restores the previous
 // value on exit, so tests never leak env state into each other.
-// VectorGossip-backed engines read GT_SIMD at construction, which makes
-// this the way to force a kernel level through layers that carry no
-// simd_level field of their own (GossipTrustEngine).
+// VectorGossip reads GT_SIMD at construction and no config carries a
+// level, so this is how a test forces a kernel level, directly or through
+// GossipTrustEngine.
 #pragma once
 
 #include <cstdlib>

@@ -1,8 +1,6 @@
 // attack_campaign: seeded attack x alpha matrix over the GossipTrust engine.
 //
-//   attack_campaign [--seed S] [--out campaign.jsonl] [--trace-dir DIR]
-//                   [--n N] [--cycles C] [--threads K] [--alphas a,b,...]
-//                   [--attacks name,name,...] [--quick] [--require-detect]
+//   attack_campaign [--quick] [--require-detect] [--out campaign.jsonl] ...
 //
 // For every (attack archetype, greedy factor alpha) cell the driver runs a
 // full aggregation: a seeded honest population transacts each cycle, an
@@ -24,8 +22,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -35,6 +31,7 @@
 #include "attack/attack_state.hpp"
 #include "attack/detect.hpp"
 #include "baseline/power_iteration.hpp"
+#include "common/knob.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/engine.hpp"
@@ -49,6 +46,10 @@ namespace {
 using gt::Rng;
 using gt::mix64;
 
+/// Every archetype make_plan() knows; the default --attacks list.
+const std::vector<std::string_view> kAttacks{
+    "clean", "slander_ring", "sybil_whitewash", "on_off", "gossip_inflate"};
+
 struct Options {
   std::uint64_t seed = 42;
   std::string out = "attack_campaign.jsonl";
@@ -57,8 +58,7 @@ struct Options {
   std::size_t cycles = 24;
   std::size_t threads = 1;
   std::vector<double> alphas{0.0, 0.15};
-  std::vector<std::string> attacks{"clean", "slander_ring", "sybil_whitewash",
-                                   "on_off", "gossip_inflate"};
+  std::vector<std::string> attacks{kAttacks.begin(), kAttacks.end()};
   bool require_detect = false;
 };
 
@@ -332,69 +332,24 @@ CellResult run_cell(const Options& opt, const std::string& attack,
   return res;
 }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--seed S] [--out FILE.jsonl] [--trace-dir DIR] "
-               "[--n N] [--cycles C] [--threads K] [--alphas a,b] "
-               "[--attacks name,name] [--quick] [--require-detect]\n",
-               argv0);
-  return 2;
-}
-
-std::vector<std::string> split_csv(const char* s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char* p = s;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-      if (*p == '\0') break;
-    } else {
-      cur += *p;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using namespace gt::knob;
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(arg, "--out") == 0 && i + 1 < argc) {
-      opt.out = argv[++i];
-    } else if (std::strcmp(arg, "--trace-dir") == 0 && i + 1 < argc) {
-      opt.trace_dir = argv[++i];
-    } else if (std::strcmp(arg, "--n") == 0 && i + 1 < argc) {
-      opt.n = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(arg, "--cycles") == 0 && i + 1 < argc) {
-      opt.cycles = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-      opt.threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(arg, "--alphas") == 0 && i + 1 < argc) {
-      opt.alphas.clear();
-      for (const auto& tok : split_csv(argv[++i]))
-        opt.alphas.push_back(std::strtod(tok.c_str(), nullptr));
-    } else if (std::strcmp(arg, "--attacks") == 0 && i + 1 < argc) {
-      opt.attacks = split_csv(argv[++i]);
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      opt.n = 96;
-      opt.cycles = 18;
-    } else if (std::strcmp(arg, "--require-detect") == 0) {
-      opt.require_detect = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (opt.n < 16 || opt.cycles < 6 || opt.alphas.empty() ||
-      opt.attacks.empty()) {
-    std::fprintf(stderr, "attack_campaign: need n >= 16, cycles >= 6, and "
-                         "non-empty --alphas/--attacks\n");
-    return 2;
-  }
+  Cli("attack_campaign",
+      {{"--seed", "S", into(opt.seed)},
+       {"--out", "FILE.jsonl", into(opt.out)},
+       {"--trace-dir", "DIR", into(opt.trace_dir)},
+       {"--n", "N", into(opt.n, 16)},
+       {"--cycles", "C", into(opt.cycles, 6)},
+       {"--threads", "K", into(opt.threads, 0, kMaxThreads)},
+       {"--alphas", "a,b", into(opt.alphas, 0.0, 1.0)},
+       {"--attacks", "name,name", into(opt.attacks, kAttacks)},
+       {"--quick", "",
+        [&](std::string_view, std::string_view) { opt.n = 96; opt.cycles = 18; }},
+       {"--require-detect", "", into(opt.require_detect)}})
+      .parse_or_exit(argc, argv);
   if (!opt.trace_dir.empty())
     std::filesystem::create_directories(opt.trace_dir);
 

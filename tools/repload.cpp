@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/knob.hpp"
 #include "common/powerlaw.hpp"
 #include "common/rng.hpp"
 #include "serve/handler.hpp"
@@ -67,7 +68,7 @@ struct Options {
   double duration = 3.0;
   double ingest_fraction = 0.0;
   std::uint64_t seed = 1;
-  int connect_retries = 50;     ///< x 100ms — lets CI start server lazily
+  unsigned connect_retries = 50;  ///< x 100ms — lets CI start server lazily
   bool inproc = false;
   bool bench = false;
   double bench_seconds = 1.0;
@@ -77,59 +78,34 @@ struct Options {
   double watch_interval = 1.0;  ///< seconds between scoreboard polls
 };
 
-[[noreturn]] void usage(const char* argv0, const std::string& msg) {
-  std::fprintf(stderr, "repload: %s\n", msg.c_str());
-  std::fprintf(
-      stderr,
-      "usage: %s [--host H] [--port P] [--n N] [--zipf S] [--batch B]\n"
-      "          [--pipeline D] [--connections C] [--duration SEC]\n"
-      "          [--ingest-fraction F] [--seed S] [--json]\n"
-      "          [--inproc | --bench [--bench-seconds SEC] [--poll]\n"
-      "           | --watch [--watch-interval SEC]]\n",
-      argv0);
-  std::exit(2);
-}
-
 Options parse(int argc, char** argv) {
+  using namespace gt::knob;
   Options o;
-  auto need = [&](int i) {
-    if (i + 1 >= argc) usage(argv[0], "missing argument value");
-    return argv[i + 1];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--host") o.host = need(i++);
-    else if (a == "--port") o.port = static_cast<std::uint16_t>(std::atoi(need(i++)));
-    else if (a == "--n") o.n = static_cast<std::size_t>(std::atoll(need(i++)));
-    else if (a == "--zipf") o.zipf_s = std::atof(need(i++));
-    else if (a == "--batch") o.batch = static_cast<std::size_t>(std::atoll(need(i++)));
-    else if (a == "--pipeline") o.pipeline = static_cast<std::size_t>(std::atoll(need(i++)));
-    else if (a == "--connections") o.connections = static_cast<std::size_t>(std::atoll(need(i++)));
-    else if (a == "--duration") o.duration = std::atof(need(i++));
-    else if (a == "--ingest-fraction") o.ingest_fraction = std::atof(need(i++));
-    else if (a == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(need(i++)));
-    else if (a == "--connect-retries") o.connect_retries = std::atoi(need(i++));
-    else if (a == "--inproc") o.inproc = true;
-    else if (a == "--bench") o.bench = true;
-    else if (a == "--bench-seconds") o.bench_seconds = std::atof(need(i++));
-    else if (a == "--json") o.json = true;
-    else if (a == "--poll") o.use_poll = true;
-    else if (a == "--watch") o.watch = true;
-    else if (a == "--watch-interval") o.watch_interval = std::atof(need(i++));
-    else usage(argv[0], "unknown flag: " + a);
-  }
-  if (o.batch == 0 || o.pipeline == 0 || o.connections == 0 || o.n == 0)
-    usage(argv[0], "--batch/--pipeline/--connections/--n must be > 0");
-  if (o.batch > gt::serve::kMaxBatch)
-    usage(argv[0], "--batch exceeds protocol kMaxBatch (" +
-                       std::to_string(gt::serve::kMaxBatch) + ")");
-  if (o.bench && o.port != 0) usage(argv[0], "--bench runs its own server");
+  const Cli cli("repload",
+      {{"--host", "H", into(o.host)},
+       {"--port", "P", into(o.port)},
+       {"--n", "N", into(o.n, 1)},
+       {"--zipf", "S", into(o.zipf_s, 0.0)},
+       {"--batch", "B", into(o.batch, 1, gt::serve::kMaxBatch)},
+       {"--pipeline", "D", into(o.pipeline, 1)},
+       {"--connections", "C", into(o.connections, 1)},
+       {"--duration", "SEC", into(o.duration, 0.0)},
+       {"--ingest-fraction", "F", into(o.ingest_fraction, 0.0, 1.0)},
+       {"--seed", "S", into(o.seed)},
+       {"--connect-retries", "R", into(o.connect_retries, 0, 1'000'000)},
+       {"--inproc", "", into(o.inproc)},
+       {"--bench", "", into(o.bench)},
+       {"--bench-seconds", "SEC", into(o.bench_seconds, 0.0)},
+       {"--json", "", into(o.json)},
+       {"--poll", "", into(o.use_poll)},
+       {"--watch", "", into(o.watch)},
+       {"--watch-interval", "SEC", into(o.watch_interval, 0.0)}});
+  cli.parse_or_exit(argc, argv);
+  if (o.bench && o.port != 0) cli.fail("--bench runs its own server");
   if (o.watch && (o.bench || o.inproc))
-    usage(argv[0], "--watch is a client mode (needs --port)");
-  if (!o.bench && !o.inproc && o.port == 0)
-    usage(argv[0], "client mode needs --port");
-  if (o.watch && o.watch_interval <= 0.0)
-    usage(argv[0], "--watch-interval must be > 0");
+    cli.fail("--watch is a client mode (needs --port)");
+  if (!o.bench && !o.inproc && o.port == 0) cli.fail("client mode needs --port");
+  if (o.watch && o.watch_interval <= 0.0) cli.fail("--watch-interval must be > 0");
   return o;
 }
 
@@ -159,7 +135,7 @@ int connect_retry(const Options& o) {
   addr.sin_family = AF_INET;
   addr.sin_port = htons(o.port);
   if (::inet_pton(AF_INET, o.host.c_str(), &addr.sin_addr) != 1) return -1;
-  for (int attempt = 0; attempt <= o.connect_retries; ++attempt) {
+  for (unsigned attempt = 0; attempt <= o.connect_retries; ++attempt) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) return -1;
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {

@@ -29,12 +29,11 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/knob.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "serve/handler.hpp"
@@ -62,45 +61,9 @@ struct Options {
   std::string telemetry;
   bool use_poll = false;
   double max_seconds = 0.0;      ///< 0 = run until signalled
-  double metrics_interval = 1.0; ///< seconds between serve_metrics/_health records
-  double slow_frame_us = 1000.0; ///< slow-frame threshold; <= 0 disables
+  double metrics_interval = 1.0; ///< seconds between serve_metrics/_health; 0 = off
+  double slow_frame_us = 1000.0; ///< slow-frame threshold; 0 = off
 };
-
-[[noreturn]] void usage(const char* argv0, const char* msg) {
-  std::fprintf(stderr, "repserved: %s\n", msg);
-  std::fprintf(stderr,
-               "usage: %s [--bind A] [--port P] [--n N] [--seed S]\n"
-               "          [--refold K] [--shards S] [--telemetry PATH]\n"
-               "          [--poll] [--max-seconds T] [--metrics-interval T]\n"
-               "          [--slow-frame-us U]\n",
-               argv0);
-  std::exit(2);
-}
-
-Options parse(int argc, char** argv) {
-  Options o;
-  auto need = [&](int i) {
-    if (i + 1 >= argc) usage(argv[0], "missing argument value");
-    return argv[i + 1];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--bind") o.bind = need(i++);
-    else if (a == "--port") o.port = static_cast<std::uint16_t>(std::atoi(need(i++)));
-    else if (a == "--n") o.n = static_cast<std::size_t>(std::atoll(need(i++)));
-    else if (a == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(need(i++)));
-    else if (a == "--refold") o.refold = static_cast<std::size_t>(std::atoll(need(i++)));
-    else if (a == "--shards") o.shards = static_cast<std::size_t>(std::atoll(need(i++)));
-    else if (a == "--telemetry") o.telemetry = need(i++);
-    else if (a == "--poll") o.use_poll = true;
-    else if (a == "--max-seconds") o.max_seconds = std::atof(need(i++));
-    else if (a == "--metrics-interval") o.metrics_interval = std::atof(need(i++));
-    else if (a == "--slow-frame-us") o.slow_frame_us = std::atof(need(i++));
-    else usage(argv[0], ("unknown flag: " + a).c_str());
-  }
-  if (o.n < 2) usage(argv[0], "--n must be >= 2");
-  return o;
-}
 
 double mass_gap_of(const std::vector<double>& scores) {
   double sum = 0.0;
@@ -111,7 +74,22 @@ double mass_gap_of(const std::vector<double>& scores) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
+  using gt::knob::into;
+  Options opt;
+  gt::knob::Cli("repserved",
+      {{"--bind", "A", into(opt.bind)},
+       {"--port", "P", into(opt.port)},
+       {"--n", "N", into(opt.n, 2)},
+       {"--seed", "S", into(opt.seed)},
+       {"--refold", "K", into(opt.refold)},
+       {"--shards", "S", into(opt.shards)},
+       {"--telemetry", "PATH", into(opt.telemetry)},
+       {"--poll", "", into(opt.use_poll)},
+       {"--max-seconds", "T", into(opt.max_seconds, 0.0)},
+       {"--metrics-interval", "T", into(opt.metrics_interval, 0.0)},
+       {"--slow-frame-us", "U", into(opt.slow_frame_us, 0.0)}})
+      .parse_or_exit(argc, argv);
+
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
   auto uptime_now = [&t0] {

@@ -1,10 +1,7 @@
 // trace_analyze: flight-recorder post-mortem for GTTRACE1 binary traces.
 //
 //   trace_analyze <trace.bin> [--perfetto out.json] [--expect-clean]
-//                 [--expect-anomalies N] [--expect-type NAME]
-//                 [--mass-tolerance T] [--storm-threshold K]
-//                 [--inflation-tolerance T] [--rank-jump X]
-//                 [--rank-warmup N] [--bias-threshold X] [--min-ring N]
+//                 [--expect-anomalies N] [--expect-type NAME] [detector knobs]
 //
 // Prints the analyzer summary (kind counts, retransmission chains grouped
 // by trace id, partition windows, anomalies) and optionally exports Chrome
@@ -13,77 +10,40 @@
 // feedback_ring; repeatable) requires at least one anomaly of that type —
 // the CI attack matrix uses it to assert that seeded attacks leave their
 // specific manipulation signature. Exit codes: 0 ok, 1 an --expect-* check
-// failed, 2 file/usage error.
+// failed, 2 file/usage error (a bad flag value included).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/knob.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/perfetto.hpp"
 #include "trace/trace.hpp"
 
-namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <trace.bin> [--perfetto out.json] [--expect-clean] "
-               "[--expect-anomalies N] [--expect-type NAME] "
-               "[--mass-tolerance T] [--storm-threshold K] "
-               "[--inflation-tolerance T] [--rank-jump X] [--rank-warmup N] "
-               "[--bias-threshold X] [--min-ring N]\n",
-               argv0);
-  return 2;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace gt::knob;
   std::string input;
   std::string perfetto_out;
   bool expect_clean = false;
-  long expect_anomalies = -1;
+  std::size_t expect_anomalies = 0;  // at least this many; 0 checks nothing
   std::vector<std::string> expect_types;
   gt::trace::AnalyzerConfig config;
-
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--perfetto") == 0 && i + 1 < argc) {
-      perfetto_out = argv[++i];
-    } else if (std::strcmp(arg, "--expect-clean") == 0) {
-      expect_clean = true;
-    } else if (std::strcmp(arg, "--expect-anomalies") == 0 && i + 1 < argc) {
-      expect_anomalies = std::strtol(argv[++i], nullptr, 10);
-    } else if (std::strcmp(arg, "--mass-tolerance") == 0 && i + 1 < argc) {
-      config.mass_tolerance = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(arg, "--storm-threshold") == 0 && i + 1 < argc) {
-      config.storm_threshold =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(arg, "--expect-type") == 0 && i + 1 < argc) {
-      expect_types.emplace_back(argv[++i]);
-    } else if (std::strcmp(arg, "--inflation-tolerance") == 0 && i + 1 < argc) {
-      config.inflation_tolerance = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(arg, "--rank-jump") == 0 && i + 1 < argc) {
-      config.rank_jump = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(arg, "--rank-warmup") == 0 && i + 1 < argc) {
-      config.rank_warmup = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(arg, "--rank-window") == 0 && i + 1 < argc) {
-      config.rank_window = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(arg, "--bias-threshold") == 0 && i + 1 < argc) {
-      config.bias_threshold = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(arg, "--min-ring") == 0 && i + 1 < argc) {
-      config.min_ring =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg[0] == '-') {
-      return usage(argv[0]);
-    } else if (input.empty()) {
-      input = arg;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (input.empty()) return usage(argv[0]);
+  Cli("trace_analyze",
+      {{"TRACE", "", into(input), /*required=*/true},
+       {"--perfetto", "OUT.json", into(perfetto_out)},
+       {"--expect-clean", "", into(expect_clean)},
+       {"--expect-anomalies", "N", into(expect_anomalies)},
+       {"--expect-type", "NAME",
+        [&](std::string_view, std::string_view t) { expect_types.emplace_back(t); }},
+       {"--mass-tolerance", "T", into(config.mass_tolerance, 0.0)},
+       {"--storm-threshold", "K", into(config.storm_threshold)},
+       {"--inflation-tolerance", "T", into(config.inflation_tolerance, 0.0)},
+       {"--rank-jump", "X", into(config.rank_jump, 0.0)},
+       {"--rank-warmup", "N", into(config.rank_warmup)},
+       {"--rank-window", "N", into(config.rank_window)},
+       {"--bias-threshold", "X", into(config.bias_threshold, 0.0)},
+       {"--min-ring", "N", into(config.min_ring)}})
+      .parse_or_exit(argc, argv);
 
   gt::trace::TraceFileHeader header;
   std::vector<gt::trace::TraceRecord> records;
@@ -104,9 +64,8 @@ int main(int argc, char** argv) {
                  summary.anomalies.size());
     return 1;
   }
-  if (expect_anomalies >= 0 &&
-      summary.anomalies.size() < static_cast<std::size_t>(expect_anomalies)) {
-    std::fprintf(stderr, "FAIL: expected >= %ld anomalies, found %zu\n",
+  if (summary.anomalies.size() < expect_anomalies) {
+    std::fprintf(stderr, "FAIL: expected >= %zu anomalies, found %zu\n",
                  expect_anomalies, summary.anomalies.size());
     return 1;
   }

@@ -46,8 +46,7 @@ ChurnOutcome run_with_dynamics(std::size_t n, double churn, double loss,
     std::vector<std::uint8_t> alive(n, 0);
     for (const auto a : om.alive_nodes()) alive[a] = 1;
     const auto stats =
-        engine.run_cycle(w.attacked, v, power, grng, &om.topology(), nullptr,
-                         &alive);
+        engine.run_cycle(w.attacked, v, power, grng, &om.topology(), &alive);
     out.converged_cycles += stats.gossip_converged ? 1.0 : 0.0;
     out.steps += static_cast<double>(stats.gossip_steps);
     om.churn_step(churn, 0.5, 3, grng);

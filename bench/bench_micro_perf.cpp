@@ -324,34 +324,6 @@ void BM_NetworkSendPooled(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkSendPooled);
 
-void BM_NetworkSendLegacy(benchmark::State& state) {
-  // The closure API now wraps send_pooled(); kept benchmarked so the wrapper
-  // overhead (one heap closure box per message) stays visible.
-  constexpr std::size_t kNodes = 64;
-  constexpr std::size_t kBurst = 256;
-  sim::Scheduler sched;
-  net::NetworkConfig ncfg;
-  ncfg.base_latency = 1.0;
-  net::Network network(sched, kNodes, ncfg, Rng(1));
-  for (std::size_t i = 0; i < kBurst; ++i)
-    network.send(i % kNodes, (i + 1) % kNodes, 24, [] {});
-  sched.run_until();
-  std::uint64_t allocs = 0;
-  std::uint64_t messages = 0;
-  for (auto _ : state) {
-    const auto before = g_heap_allocs.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < kBurst; ++i)
-      network.send(i % kNodes, (i + 1) % kNodes, 24, [] {});
-    sched.run_until();
-    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
-    messages += kBurst;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(messages));
-  state.counters["allocs_per_event"] =
-      static_cast<double>(allocs) / static_cast<double>(messages);
-}
-BENCHMARK(BM_NetworkSendLegacy);
-
 void BM_AsyncGossipConverge(benchmark::State& state) {
   // Full asynchronous aggregation to epsilon-stability, batched vs
   // per-triplet framing (arg 1/0): the end-to-end win of one wire message

@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
   for (int cycle = 0; cycle < 10; ++cycle) {
     std::vector<std::uint8_t> alive(n, 0);
     for (const auto a : om.alive_nodes()) alive[a] = 1;
-    const auto stats = engine.run_cycle(s, v, power, grng, &om.topology(),
-                                        nullptr, &alive);
+    const auto stats =
+        engine.run_cycle(s, v, power, grng, &om.topology(), &alive);
     table.add_row({cell(static_cast<std::size_t>(cycle)), cell(om.alive_count()),
                    cell(stats.gossip_steps),
                    stats.gossip_converged ? "yes" : "no",

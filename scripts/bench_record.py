@@ -2,8 +2,8 @@
 """Record or gate the perf trajectory (BENCH_6.json / BENCH_7.json).
 
 Runs the `bench_micro_perf` event-core cases (scheduler dispatch, pooled
-vs legacy network send, batched async gossip) with google-benchmark JSON
-output and folds each case into three numbers:
+network send, batched async gossip) with google-benchmark JSON output and
+folds each case into three numbers:
 
     events_per_sec    items/sec as reported by the bench
     ns_per_event      1e9 / events_per_sec
@@ -86,7 +86,6 @@ CASES = (
     "BM_SchedulerScheduleRun/1024",
     "BM_SchedulerScheduleCancel/1024",
     "BM_NetworkSendPooled",
-    "BM_NetworkSendLegacy",
     "BM_AsyncGossipConverge/1",
     "BM_AsyncGossipConverge/0",
 )

@@ -96,10 +96,12 @@ CycleStats GossipTrustEngine::run_cycle(const trust::SparseMatrix& s,
                                         std::vector<double>& v,
                                         std::vector<NodeId>& power, Rng& rng,
                                         const graph::Graph* overlay,
-                                        std::vector<std::vector<double>>* views_out,
                                         const std::vector<std::uint8_t>* alive) {
   if (s.size() != n_ || v.size() != n_)
     throw std::invalid_argument("GossipTrustEngine::run_cycle: size mismatch");
+  for (const NodeId p : power)
+    if (p >= n_)
+      throw std::out_of_range("GossipTrustEngine::run_cycle: bad power node id");
 
   if (!gossip_) {
     // Built on first use rather than in the constructor: the dense state's
@@ -167,7 +169,7 @@ CycleStats GossipTrustEngine::run_cycle(const trust::SparseMatrix& s,
   // the previous cycle's vector instead and flag the cycle degraded;
   // `next` is still computed above so change_from_previous reports how far
   // off the abandoned aggregate was.
-  const bool degraded = !gres.converged && config_.fallback_on_nonconverged;
+  const bool degraded = !gres.converged;
 
   // Greedy-factor damping toward the power nodes selected after the
   // previous cycle — skipping anchors that have since departed, so no
@@ -266,12 +268,6 @@ CycleStats GossipTrustEngine::run_cycle(const trust::SparseMatrix& s,
         .field("change_from_previous", stats.change_from_previous);
   }
 
-  if (views_out != nullptr) {
-    views_out->clear();
-    views_out->reserve(n_);
-    for (NodeId i = 0; i < n_; ++i) views_out->push_back(gossip.node_view(i));
-  }
-
   if (!degraded) {
     v = std::move(next);
     power = select_power_nodes(v, config_.power_node_fraction);
@@ -290,12 +286,8 @@ AggregationResult GossipTrustEngine::run(const trust::SparseMatrix& s, Rng& rng,
   trace_cycle_seq_ = 0;  // each run() is its own probe series
 
   for (std::size_t t = 0; t < config_.max_cycles; ++t) {
-    const bool last_views = config_.keep_final_views;
-    std::vector<std::vector<double>> views;
-    CycleStats stats =
-        run_cycle(s, v, power, rng, overlay, last_views ? &views : nullptr);
+    const CycleStats stats = run_cycle(s, v, power, rng, overlay);
     result.cycles.push_back(stats);
-    if (last_views) result.final_views = std::move(views);
     // A degraded cycle retained the previous vector; its (near-zero)
     // change must not masquerade as global convergence.
     if (!stats.degraded && stats.change_from_previous < config_.delta) {

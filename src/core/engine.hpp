@@ -45,14 +45,7 @@ struct GossipTrustConfig {
   std::size_t max_gossip_steps = 10000;
   double loss_probability = 0.0;   ///< message loss injected into gossip
   bool neighbors_only = false;     ///< restrict gossip targets to overlay neighbors
-  bool keep_final_views = false;   ///< retain per-node views of the last cycle
   std::size_t num_threads = 1;     ///< gossip kernel lanes (0 = hardware concurrency)
-  /// Graceful degradation: when a cycle's gossip fails to reach epsilon-
-  /// stability within max_gossip_steps, fall back to the previous cycle's
-  /// reputation vector and flag the cycle `degraded` instead of silently
-  /// returning the biased partial aggregate. Disable to get the legacy
-  /// use-whatever-gossip-produced behavior.
-  bool fallback_on_nonconverged = true;
 };
 
 /// Per-cycle telemetry: a snapshot view over the gossip kernel's metrics
@@ -87,10 +80,6 @@ struct AggregationResult {
   std::uint64_t total_messages() const noexcept;
   std::uint64_t total_triplets() const noexcept;
   double mean_gossip_steps_per_cycle() const noexcept;
-
-  /// Per-node final views (row i = node i's reputation vector); only
-  /// populated when config.keep_final_views was set.
-  std::vector<std::vector<double>> final_views;
 };
 
 /// GossipTrust reputation aggregation engine. Cycles share one gossip
@@ -114,10 +103,14 @@ class GossipTrustEngine {
   /// current membership: departed peers neither report, gossip, nor hold
   /// scores (their entry in v becomes 0) — the peer-dynamics support the
   /// churn ablation drives between cycles.
+  /// Graceful degradation: a cycle whose gossip never reaches epsilon-
+  /// stability within max_gossip_steps keeps the previous v and power, and
+  /// is flagged `degraded`. Throws before any work (v untouched) on a size
+  /// mismatch of s or v (std::invalid_argument) or a power id >= n
+  /// (std::out_of_range).
   CycleStats run_cycle(const trust::SparseMatrix& s, std::vector<double>& v,
                        std::vector<NodeId>& power, Rng& rng,
                        const graph::Graph* overlay = nullptr,
-                       std::vector<std::vector<double>>* views_out = nullptr,
                        const std::vector<std::uint8_t>* alive = nullptr);
 
   /// Full loop: cycles until mean relative change < delta (or max_cycles).

@@ -22,13 +22,12 @@ void apply_power_node_mix(std::vector<double>& v, std::span<const NodeId> power,
   if (alpha == 0.0 || power.empty()) return;
   if (alpha < 0.0 || alpha > 1.0)
     throw std::invalid_argument("apply_power_node_mix: alpha must be in [0, 1]");
+  for (const NodeId p : power)
+    if (p >= v.size()) throw std::out_of_range("apply_power_node_mix: bad power node id");
   const double keep = 1.0 - alpha;
   for (auto& x : v) x *= keep;
   const double share = alpha / static_cast<double>(power.size());
-  for (const NodeId p : power) {
-    if (p >= v.size()) throw std::out_of_range("apply_power_node_mix: bad power node id");
-    v[p] += share;
-  }
+  for (const NodeId p : power) v[p] += share;
 }
 
 }  // namespace gt::core

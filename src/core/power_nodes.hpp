@@ -27,7 +27,8 @@ std::vector<NodeId> select_power_nodes(std::span<const double> scores, double fr
 
 /// In-place greedy mixing: v <- (1-alpha)*v + alpha*P with P uniform over
 /// `power`. No-op when alpha == 0 or power is empty. `v` should be
-/// L1-normalized on entry; the result stays normalized.
+/// L1-normalized on entry; the result stays normalized. Throws, with `v`
+/// untouched, on an alpha outside [0, 1] or a power id >= v.size().
 void apply_power_node_mix(std::vector<double>& v, std::span<const NodeId> power,
                           double alpha);
 

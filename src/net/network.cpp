@@ -6,31 +6,6 @@
 
 namespace gt::net {
 
-namespace {
-
-/// Heap box carrying the legacy closure pair through the pooled core. One
-/// allocation per send() call (the pooled path itself makes none); freed by
-/// the release hook when the message's pool slot retires.
-struct LegacyClosures {
-  Network::Handler deliver;
-  Network::DropHandler drop;
-};
-
-void legacy_deliver(void* ctx, std::span<const std::byte>, NodeId, NodeId) {
-  auto* c = static_cast<LegacyClosures*>(ctx);
-  if (c->deliver) c->deliver();
-}
-
-void legacy_drop(void* ctx, std::span<const std::byte>, NodeId, NodeId,
-                 const char* reason) {
-  auto* c = static_cast<LegacyClosures*>(ctx);
-  if (c->drop) c->drop(reason);
-}
-
-void legacy_release(void* ctx) { delete static_cast<LegacyClosures*>(ctx); }
-
-}  // namespace
-
 Network::Network(sim::Scheduler& scheduler, std::size_t num_nodes,
                  NetworkConfig config, Rng rng)
     : scheduler_(scheduler),
@@ -183,8 +158,8 @@ void Network::deliver_duplicate(MsgHandle h) {
 bool Network::send_pooled(NodeId from, NodeId to, std::size_t size_bytes,
                           std::uint32_t items, MsgHandle h,
                           const PooledSend& sink, const trace::TraceCtx& tctx) {
-  check_node(from, "send");
-  check_node(to, "send");
+  check_node(from, "send_pooled");
+  check_node(to, "send_pooled");
   const bool traced = trace_ != nullptr && tctx.active();
   if (traced)
     trace_event(tctx,
@@ -256,18 +231,6 @@ bool Network::send_pooled(NodeId from, NodeId to, std::size_t size_bytes,
 
   scheduler_.schedule_after(delay, [this, h] { deliver_primary(h); });
   return true;
-}
-
-bool Network::send(NodeId from, NodeId to, std::size_t size_bytes,
-                   Handler on_deliver, DropHandler on_drop,
-                   const trace::TraceCtx& tctx) {
-  auto* box = new LegacyClosures{std::move(on_deliver), std::move(on_drop)};
-  PooledSend sink;
-  sink.on_deliver = &legacy_deliver;
-  sink.on_drop = &legacy_drop;
-  sink.on_release = &legacy_release;
-  sink.ctx = box;
-  return send_pooled(from, to, size_bytes, 1, pool_.acquire(0), sink, tctx);
 }
 
 void Network::set_node_up(NodeId node, bool up) {

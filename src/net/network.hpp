@@ -7,23 +7,18 @@
 // and duplication/corruption in transit (the knobs the fault-injection
 // subsystem drives).
 //
-// Two send paths share one delivery core:
-//   * send_pooled() — the fast path. The payload lives in a slab-recycled
-//     MessagePool buffer and the sender provides plain function pointers
-//     (deliver / drop / release) plus one context pointer, so an in-flight
-//     message costs zero heap allocations in steady state and its scheduler
-//     event captures just {network, handle, flag}.
-//   * send() — the legacy closure API, kept as a thin wrapper: the two
-//     std::functions ride in a single heap box that the pool's release hook
-//     frees when the message retires. Semantics are unchanged.
-// Both account message and byte counts for the overhead experiments, plus
-// logical item counts so a batched wire message (one event, k triplets)
-// still reports its k items to TrafficStats and telemetry.
+// One send path, send_pooled(): the payload lives in a slab-recycled
+// MessagePool buffer and the sender provides plain function pointers
+// (deliver / drop / release) plus one context pointer, so an in-flight
+// message costs zero heap allocations in steady state and its scheduler
+// event captures just {network, handle, flag}. It accounts message and
+// byte counts for the overhead experiments, plus logical item counts so a
+// batched wire message (one event, k triplets) still reports its k items
+// to TrafficStats and telemetry.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -82,17 +77,13 @@ struct NetworkConfig {
   double corrupt_probability = 0.0;   ///< per-copy chance of in-transit corruption
 };
 
-/// Simulated network: connects node closures through the event scheduler.
+/// Simulated network: connects node callbacks through the event scheduler.
 class Network {
  public:
-  using Handler = std::function<void()>;
-  /// Delivery-time drop notification; `reason` is a static string
+  /// Send callbacks: plain function pointers sharing one context pointer,
+  /// so registering them allocates nothing. The payload span is valid only
+  /// for the duration of the call. A drop's `reason` is a static string
   /// ("receiver_down_in_flight", "partitioned_in_flight", "corrupted").
-  using DropHandler = std::function<void(const char* reason)>;
-
-  /// Pooled-path callbacks: plain function pointers sharing one context
-  /// pointer, so registering them allocates nothing. The payload span is
-  /// valid only for the duration of the call.
   using DeliverFn = void (*)(void* ctx, std::span<const std::byte> payload,
                              NodeId from, NodeId to);
   using DropFn = void (*)(void* ctx, std::span<const std::byte> payload,
@@ -101,10 +92,11 @@ class Network {
 
   /// Sink for one pooled message. `on_deliver` runs at delivery (possibly
   /// twice when a duplicate copy lands); `on_drop` runs instead for an
-  /// in-flight loss (send-time drops are reported only by send_pooled()
-  /// returning false, mirroring the closure API); `on_release` runs exactly
-  /// once when the message's pool slot retires — after the last deliver or
-  /// drop — and is the hook for freeing `ctx`.
+  /// in-flight loss of the primary copy (send-time drops are reported only
+  /// by send_pooled() returning false; duplicate-copy losses are silent);
+  /// `on_release` runs exactly once when the message's pool slot retires —
+  /// after the last deliver or drop — and is the hook for freeing `ctx`.
+  /// Any of the three may be null.
   struct PooledSend {
     DeliverFn on_deliver = nullptr;
     DropFn on_drop = nullptr;
@@ -127,25 +119,14 @@ class Network {
   /// `items` logical units) from `from` to `to`. Returns true when the
   /// message was enqueued for delivery; false means it was dropped at send
   /// time — the payload is still readable until this call returns, but the
-  /// handle is consumed either way. RNG draw order, scheduling order
-  /// (duplicate copy before primary), latency model, counters, and tracing
-  /// are identical to the closure path.
+  /// handle is consumed either way. A duplicate copy is scheduled before
+  /// the primary. When a trace sink is attached and `tctx.active()`, the
+  /// hop's send and its outcome (deliver/drop) are recorded under the
+  /// caller's span — purely observational, no scheduling or RNG impact.
+  /// An out-of-range node id aborts.
   bool send_pooled(NodeId from, NodeId to, std::size_t size_bytes,
                    std::uint32_t items, MsgHandle h, const PooledSend& sink,
                    const trace::TraceCtx& tctx = {});
-
-  /// Sends a message of `size_bytes` from `from` to `to`; `on_deliver` runs
-  /// at delivery time unless the message is dropped. Returns true when the
-  /// message was enqueued for delivery (false = dropped at send time; the
-  /// send-time drop is NOT reported through `on_drop`). `on_drop`, when
-  /// non-null, runs instead of `on_deliver` if the enqueued message is lost
-  /// in flight. A duplicated copy may additionally run `on_deliver` a
-  /// second time; duplicate-copy losses are silent. When a trace sink is
-  /// attached and `tctx.active()`, the hop's send and its outcome
-  /// (deliver/drop) are recorded under the caller's span — purely
-  /// observational, no scheduling or RNG impact.
-  bool send(NodeId from, NodeId to, std::size_t size_bytes, Handler on_deliver,
-            DropHandler on_drop = nullptr, const trace::TraceCtx& tctx = {});
 
   /// Marks a node down: messages to/from it are dropped.
   void set_node_up(NodeId node, bool up);

@@ -28,8 +28,9 @@
 //
 // The ingest side is deliberately boring: feedback updates are appended to
 // a mutex-guarded pending buffer and drained in batches by whoever owns the
-// aggregation loop (tools/repserved folds them through a ReputationManager
-// and republishes). Serving is observational with respect to the engine —
+// aggregation loop (tools/repserved records them into a FeedbackLedger,
+// re-runs GossipTrustEngine warm-started from the last scores, and
+// republishes). Serving is observational with respect to the engine —
 // folding scores into the store never feeds back into aggregation state.
 #pragma once
 

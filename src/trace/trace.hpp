@@ -135,7 +135,7 @@ struct TraceFileHeader {
 };
 static_assert(sizeof(TraceFileHeader) == 48, "TraceFileHeader must be 48 bytes");
 
-/// Per-message causal context threaded through net::Network::send. A
+/// Per-message causal context threaded through net::Network::send_pooled. A
 /// default-constructed ctx (span_id == 0) means "untraced"; the network
 /// then emits nothing for this message.
 struct TraceCtx {

@@ -44,19 +44,6 @@ SparseMatrix FeedbackLedger::normalized_matrix() const {
   return raw_matrix().row_normalized();
 }
 
-void FeedbackLedger::set_raw(NodeId rater, NodeId ratee, double value) {
-  if (rater >= n_ || ratee >= n_)
-    throw std::out_of_range("FeedbackLedger::set_raw: peer id out of range");
-  if (rater == ratee) return;
-  if (value < 0.0) throw std::invalid_argument("FeedbackLedger::set_raw: negative");
-  auto [it, inserted] = outbound_[rater].try_emplace(ratee, value);
-  if (!inserted) {
-    it->second = value;
-  } else {
-    ++count_;
-  }
-}
-
 void FeedbackLedger::decay(double factor, double floor) {
   if (factor <= 0.0 || factor > 1.0)
     throw std::invalid_argument("FeedbackLedger::decay: factor must be in (0, 1]");

@@ -56,11 +56,6 @@ class FeedbackLedger {
   /// under churn and its transactions age out).
   void forget_peer(NodeId peer);
 
-  /// Directly sets the accumulated score r_ij (no clamping of the total —
-  /// accumulated values legitimately exceed 1). Used by deserialization;
-  /// prefer record() for live ratings. Self-pairs rejected like record().
-  void set_raw(NodeId rater, NodeId ratee, double value);
-
   /// Exponential aging: multiplies every accumulated score by `factor`
   /// in (0, 1]; entries decayed below `floor` are dropped entirely.
   /// Called once per reputation-update epoch, this makes fresh behaviour

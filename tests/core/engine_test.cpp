@@ -146,18 +146,6 @@ TEST(GossipTrustEngine, WarmStartConvergesFaster) {
   EXPECT_LE(warm.num_cycles(), cold.num_cycles());
 }
 
-TEST(GossipTrustEngine, KeepFinalViewsPopulates) {
-  const std::size_t n = 24;
-  const auto s = workload_matrix(n, 16);
-  auto cfg = test_config();
-  cfg.keep_final_views = true;
-  GossipTrustEngine engine(n, cfg);
-  Rng rng(17);
-  const auto res = engine.run(s, rng);
-  ASSERT_EQ(res.final_views.size(), n);
-  for (const auto& view : res.final_views) EXPECT_EQ(view.size(), n);
-}
-
 TEST(GossipTrustEngine, RunCycleDrivableExternally) {
   const std::size_t n = 30;
   const auto s = workload_matrix(n, 18);
@@ -244,7 +232,7 @@ TEST(GossipTrustEngine, ReusedKernelMatchesFreshEngine) {
     auto v = reused.initial_scores();
     std::vector<NodeId> power;
     Rng dirty(32);
-    reused.run_cycle(s, v, power, dirty, nullptr, nullptr, &alive);
+    reused.run_cycle(s, v, power, dirty, nullptr, &alive);
     reused.run_cycle(s, v, power, dirty);
   }
   reused.set_gossip_adversary({}, {});
@@ -308,23 +296,26 @@ TEST(GossipTrustEngine, DegradedCycleRetainsPreviousVector) {
   EXPECT_EQ(res.degraded_cycles(), cfg.max_cycles);
 }
 
-TEST(GossipTrustEngine, FallbackDisabledRestoresLegacyBehavior) {
+TEST(GossipTrustEngine, RunCycleRejectsBadPowerIdsBeforeAnyWork) {
+  // A caller-supplied power id >= n must be refused before the alive mask
+  // is indexed with it (an out-of-bounds read) and before v changes.
   const std::size_t n = 24;
   const auto s = workload_matrix(n, 23);
-  auto cfg = test_config();
-  cfg.max_gossip_steps = 1;
-  cfg.fallback_on_nonconverged = false;
-  GossipTrustEngine engine(n, cfg);
-
+  GossipTrustEngine engine(n, test_config());
+  const std::vector<std::uint8_t> alive(n, 1);
   auto v = engine.initial_scores();
   const auto v_before = v;
-  std::vector<NodeId> power;
+  std::vector<NodeId> power{3, n};
   Rng rng(24);
-  const auto stats = engine.run_cycle(s, v, power, rng);
-  EXPECT_FALSE(stats.gossip_converged);
-  EXPECT_FALSE(stats.degraded);
-  EXPECT_NE(v, v_before);  // legacy: the partial aggregate is adopted
-  EXPECT_FALSE(power.empty());
+  EXPECT_THROW(engine.run_cycle(s, v, power, rng, nullptr, &alive),
+               std::out_of_range);
+  EXPECT_THROW(engine.run_cycle(s, v, power, rng), std::out_of_range);
+  EXPECT_EQ(v, v_before);
+  EXPECT_EQ(power, (std::vector<NodeId>{3, n}));
+  // The same engine still runs a valid cycle afterwards.
+  power = {3};
+  const auto stats = engine.run_cycle(s, v, power, rng, nullptr, &alive);
+  EXPECT_GT(stats.gossip_steps, 0u);
 }
 
 TEST(GossipTrustEngine, HealthyCyclesAreNotDegraded) {

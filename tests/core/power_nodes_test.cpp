@@ -66,5 +66,15 @@ TEST(ApplyPowerNodeMix, RejectsBadInputs) {
                std::out_of_range);
 }
 
+TEST(ApplyPowerNodeMix, BadIdLeavesVectorUntouched) {
+  // Every id is checked before the scaling pass, so a throw leaves the
+  // caller's vector as it was, not half mixed.
+  std::vector<double> v{0.5, 0.3, 0.2};
+  const auto before = v;
+  EXPECT_THROW(apply_power_node_mix(v, std::vector<NodeId>{0, 3}, 0.5),
+               std::out_of_range);
+  EXPECT_EQ(v, before);
+}
+
 }  // namespace
 }  // namespace gt::core

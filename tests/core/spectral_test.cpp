@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "baseline/power_iteration.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
@@ -92,6 +94,36 @@ TEST(Spectral, BoundTracksMeasuredEngineCycles) {
   ASSERT_TRUE(run.converged);
   EXPECT_LE(run.num_cycles(), 3 * predicted + 5);
   EXPECT_GE(run.num_cycles() + 3, predicted / 3);
+}
+
+TEST(Spectral, CycleBoundHoldsOverSeedSweep) {
+  // Section 4.1's d <= ceil(log_b delta), asserted per seed on the
+  // undamped iteration. The engine stops on the mean relative CHANGE of V,
+  // not the error itself, which is worth a cycle or two: the same +2 slack
+  // bench_theory_convergence reports.
+  const std::size_t n = 150;
+  const double delta = 1e-4;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto s = workload_matrix(n, seed);
+    const auto est = estimate_spectral_gap(s);
+    const std::size_t predicted = est.predicted_cycles(delta);
+    const std::size_t bound =
+        predicted > std::numeric_limits<std::size_t>::max() - 2 ? predicted
+                                                                 : predicted + 2;
+
+    core::GossipTrustConfig cfg;
+    cfg.alpha = 0.0;
+    cfg.power_node_fraction = 0.0;
+    cfg.delta = delta;
+    cfg.epsilon = 1e-6;
+    core::GossipTrustEngine engine(n, cfg);
+    Rng rng(seed);
+    const auto run = engine.run(s, rng);
+    EXPECT_TRUE(run.converged) << "seed " << seed;
+    EXPECT_LE(run.num_cycles(), bound)
+        << "seed " << seed << ": lambda2/lambda1 " << est.ratio()
+        << ", predicted " << predicted;
+  }
 }
 
 TEST(Spectral, TighterGapConvergesFaster) {

@@ -141,7 +141,7 @@ std::uint64_t faulted_engine_hash(std::size_t threads) {
   Fnv h;
   for (std::size_t t = 0; t < masks.size(); ++t) {
     const std::vector<std::uint8_t>* alive = t == 1 ? nullptr : &masks[t];
-    const auto c = engine.run_cycle(s, v, power, rng, nullptr, nullptr, alive);
+    const auto c = engine.run_cycle(s, v, power, rng, nullptr, alive);
     h.u64(c.gossip_steps);
     h.u64(c.gossip_converged ? 1 : 0);
     h.u64(c.degraded ? 1 : 0);

@@ -6,7 +6,6 @@
 #include "baseline/power_iteration.hpp"
 #include "common/stats.hpp"
 #include "core/engine.hpp"
-#include "core/reputation_manager.hpp"
 #include "gossip/vector_gossip.hpp"
 #include "trust/feedback.hpp"
 
@@ -29,6 +28,13 @@ TEST(EdgeCases, EmptyLedgerAggregatesToUniform) {
   const auto res = engine.run(s, rng);
   EXPECT_TRUE(res.converged);
   for (const auto v : res.scores) EXPECT_NEAR(v, 1.0 / 12.0, 1e-4);
+  // Table 2 defaults (alpha and power nodes on) keep the vector a
+  // distribution on the same empty ledger.
+  core::GossipTrustEngine defaults(n, core::GossipTrustConfig{});
+  Rng rng2(6);
+  const auto res2 = defaults.run(s, rng2);
+  EXPECT_TRUE(res2.converged);
+  EXPECT_NEAR(sum(res2.scores), 1.0, 1e-9);
 }
 
 TEST(EdgeCases, SingleFeedbackEntireReputation) {
@@ -108,14 +114,6 @@ TEST(EdgeCases, ExtremeAlphaOne) {
   const auto res = engine.run(s, rng);
   ASSERT_EQ(res.power_nodes.size(), 1u);
   EXPECT_NEAR(res.scores[res.power_nodes[0]], 1.0, 1e-9);
-}
-
-TEST(EdgeCases, ManagerSurvivesRefreshWithNoFeedback) {
-  core::ReputationManagerConfig cfg;
-  core::ReputationManager manager(8, cfg, 6);
-  manager.refresh();  // empty ledger: uniform operator
-  EXPECT_EQ(manager.refresh_count(), 1u);
-  EXPECT_NEAR(sum(manager.scores()), 1.0, 1e-9);
 }
 
 TEST(EdgeCases, MeanRelativeErrorSkipsVanishedComponents) {

@@ -211,7 +211,7 @@ TEST(OverlayGossip, SurvivesChurnBetweenCycles) {
     std::vector<std::uint8_t> alive(n, 0);
     for (const auto a : om.alive_nodes()) alive[a] = 1;
     const auto stats =
-        engine.run_cycle(s, v, power, grng, &om.topology(), nullptr, &alive);
+        engine.run_cycle(s, v, power, grng, &om.topology(), &alive);
     EXPECT_TRUE(stats.gossip_converged) << "cycle " << cycle;
     om.churn_step(0.05, 0.8, 3, grng);
   }

@@ -22,26 +22,63 @@ struct Fixture {
   Network make(std::size_t n) { return Network(sched, n, cfg, Rng(1)); }
 };
 
+/// Counts callback firings, snapshots payload bytes and, given a
+/// scheduler, records each delivery's sim time.
+struct PoolProbe {
+  explicit PoolProbe(const sim::Scheduler* s = nullptr) : sched(s) {}
+
+  const sim::Scheduler* sched;
+  int delivers = 0, drops = 0, releases = 0;
+  std::vector<double> deliver_times;
+  std::vector<std::byte> last;
+  std::string reason;
+
+  static void on_deliver(void* c, std::span<const std::byte> p, NodeId,
+                         NodeId) {
+    auto* s = static_cast<PoolProbe*>(c);
+    ++s->delivers;
+    if (s->sched != nullptr) s->deliver_times.push_back(s->sched->now());
+    s->last.assign(p.begin(), p.end());
+  }
+  static void on_drop(void* c, std::span<const std::byte> p, NodeId, NodeId,
+                      const char* r) {
+    auto* s = static_cast<PoolProbe*>(c);
+    ++s->drops;
+    s->reason = r;
+    s->last.assign(p.begin(), p.end());
+  }
+  static void on_release(void* c) { ++static_cast<PoolProbe*>(c)->releases; }
+
+  Network::PooledSend sink() {
+    return Network::PooledSend{&on_deliver, &on_drop, &on_release, this};
+  }
+};
+
+/// One message with an empty payload, accounted as `bytes` wire bytes and
+/// one item; without a probe nobody is told of its fate.
+bool send(Network& net, NodeId from, NodeId to, std::size_t bytes,
+          PoolProbe* probe = nullptr) {
+  return net.send_pooled(from, to, bytes, 1, net.acquire_payload(0),
+                         probe != nullptr ? probe->sink() : Network::PooledSend{});
+}
+
 TEST(Network, DeliversAfterLatency) {
   Fixture f;
   auto net = f.make(2);
-  bool delivered = false;
-  double at = -1.0;
-  net.send(0, 1, 100, [&] {
-    delivered = true;
-    at = f.sched.now();
-  });
-  EXPECT_FALSE(delivered);  // in flight
+  PoolProbe probe{&f.sched};
+  send(net, 0, 1, 100, &probe);
+  EXPECT_EQ(probe.delivers, 0);  // in flight
   f.sched.run_until();
-  EXPECT_TRUE(delivered);
-  EXPECT_DOUBLE_EQ(at, 1.0);
+  EXPECT_EQ(probe.delivers, 1);
+  ASSERT_EQ(probe.deliver_times.size(), 1u);
+  EXPECT_DOUBLE_EQ(probe.deliver_times[0], 1.0);
 }
 
 TEST(Network, StatsCountBytesAndMessages) {
   Fixture f;
   auto net = f.make(3);
-  net.send(0, 1, 100, [] {});
-  net.send(1, 2, 50, [] {});
+  send(net, 0, 1, 100);
+  send(net, 1, 2, 50);
   f.sched.run_until();
   EXPECT_EQ(net.stats().messages_sent, 2u);
   EXPECT_EQ(net.stats().messages_delivered, 2u);
@@ -56,10 +93,10 @@ TEST(Network, FullLossDropsEverything) {
   Fixture f;
   f.cfg.loss_probability = 1.0;
   auto net = f.make(2);
-  bool delivered = false;
-  EXPECT_FALSE(net.send(0, 1, 10, [&] { delivered = true; }));
+  PoolProbe probe;
+  EXPECT_FALSE(send(net, 0, 1, 10, &probe));
   f.sched.run_until();
-  EXPECT_FALSE(delivered);
+  EXPECT_EQ(probe.delivers, 0);
   EXPECT_EQ(net.stats().messages_dropped, 1u);
   EXPECT_DOUBLE_EQ(net.stats().delivery_ratio(), 0.0);
 }
@@ -68,43 +105,43 @@ TEST(Network, PartialLossApproximatesProbability) {
   Fixture f;
   f.cfg.loss_probability = 0.3;
   auto net = f.make(2);
-  int delivered = 0;
+  PoolProbe probe;
   const int total = 10000;
-  for (int i = 0; i < total; ++i) net.send(0, 1, 1, [&] { ++delivered; });
+  for (int i = 0; i < total; ++i) send(net, 0, 1, 1, &probe);
   f.sched.run_until();
-  EXPECT_NEAR(static_cast<double>(delivered) / total, 0.7, 0.02);
+  EXPECT_NEAR(static_cast<double>(probe.delivers) / total, 0.7, 0.02);
 }
 
 TEST(Network, DeadDestinationDrops) {
   Fixture f;
   auto net = f.make(2);
   net.set_node_up(1, false);
-  bool delivered = false;
-  EXPECT_FALSE(net.send(0, 1, 10, [&] { delivered = true; }));
+  PoolProbe probe;
+  EXPECT_FALSE(send(net, 0, 1, 10, &probe));
   f.sched.run_until();
-  EXPECT_FALSE(delivered);
+  EXPECT_EQ(probe.delivers, 0);
   net.set_node_up(1, true);
   EXPECT_TRUE(net.is_node_up(1));
-  EXPECT_TRUE(net.send(0, 1, 10, [&] { delivered = true; }));
+  EXPECT_TRUE(send(net, 0, 1, 10, &probe));
   f.sched.run_until();
-  EXPECT_TRUE(delivered);
+  EXPECT_EQ(probe.delivers, 1);
 }
 
 TEST(Network, DeadSenderDrops) {
   Fixture f;
   auto net = f.make(2);
   net.set_node_up(0, false);
-  EXPECT_FALSE(net.send(0, 1, 10, [] {}));
+  EXPECT_FALSE(send(net, 0, 1, 10));
 }
 
 TEST(Network, NodeDiesWhileMessageInFlight) {
   Fixture f;
   auto net = f.make(2);
-  bool delivered = false;
-  net.send(0, 1, 10, [&] { delivered = true; });
+  PoolProbe probe;
+  send(net, 0, 1, 10, &probe);
   net.set_node_up(1, false);  // dies before the latency elapses
   f.sched.run_until();
-  EXPECT_FALSE(delivered);
+  EXPECT_EQ(probe.delivers, 0);
   EXPECT_EQ(net.stats().messages_dropped, 1u);
 }
 
@@ -114,12 +151,12 @@ TEST(Network, LinkFailureBlocksBothDirections) {
   net.fail_link(0, 1);
   EXPECT_TRUE(net.link_failed(0, 1));
   EXPECT_TRUE(net.link_failed(1, 0));
-  EXPECT_FALSE(net.send(0, 1, 1, [] {}));
-  EXPECT_FALSE(net.send(1, 0, 1, [] {}));
-  EXPECT_TRUE(net.send(0, 2, 1, [] {}));  // other links unaffected
+  EXPECT_FALSE(send(net, 0, 1, 1));
+  EXPECT_FALSE(send(net, 1, 0, 1));
+  EXPECT_TRUE(send(net, 0, 2, 1));  // other links unaffected
   net.heal_link(1, 0);
   EXPECT_FALSE(net.link_failed(0, 1));
-  EXPECT_TRUE(net.send(0, 1, 1, [] {}));
+  EXPECT_TRUE(send(net, 0, 1, 1));
   EXPECT_EQ(net.failed_link_count(), 0u);
 }
 
@@ -129,8 +166,8 @@ TEST(Network, ResetStatsClearsEveryCounter) {
   Fixture f;
   auto net = f.make(3);
   net.fail_link(0, 2);
-  net.send(0, 1, 100, [] {});
-  net.send(0, 2, 25, [] {});  // dropped on the failed link
+  send(net, 0, 1, 100);
+  send(net, 0, 2, 25);  // dropped on the failed link
   f.sched.run_until();
   ASSERT_GT(net.stats().messages_sent, 0u);
   ASSERT_GT(net.stats().messages_dropped, 0u);
@@ -140,7 +177,7 @@ TEST(Network, ResetStatsClearsEveryCounter) {
   EXPECT_EQ(net.stats().messages_dropped, 0u);
   EXPECT_EQ(net.stats().bytes_sent, 0u);
   EXPECT_EQ(net.stats().bytes_delivered, 0u);
-  net.send(1, 2, 10, [] {});
+  send(net, 1, 2, 10);
   f.sched.run_until();
   EXPECT_EQ(net.stats().messages_sent, 1u);  // fresh window
 }
@@ -150,9 +187,9 @@ TEST(Network, BytesDroppedAccountedOnSendTimeDrops) {
   auto net = f.make(3);
   net.fail_link(0, 1);
   net.set_node_up(2, false);
-  net.send(0, 1, 40, [] {});  // link_failed
-  net.send(0, 2, 60, [] {});  // receiver_down
-  net.send(2, 0, 25, [] {});  // sender_down
+  send(net, 0, 1, 40);  // link_failed
+  send(net, 0, 2, 60);  // receiver_down
+  send(net, 2, 0, 25);  // sender_down
   f.sched.run_until();
   EXPECT_EQ(net.stats().messages_dropped, 3u);
   EXPECT_EQ(net.stats().bytes_dropped, 125u);
@@ -162,7 +199,7 @@ TEST(Network, BytesDroppedAccountedOnSendTimeDrops) {
 TEST(Network, BytesDroppedAccountedOnInFlightDrops) {
   Fixture f;
   auto net = f.make(2);
-  net.send(0, 1, 80, [] {});
+  send(net, 0, 1, 80);
   net.set_node_up(1, false);  // dies before the latency elapses
   f.sched.run_until();
   EXPECT_EQ(net.stats().messages_dropped, 1u);
@@ -184,7 +221,7 @@ TEST(Network, SentEqualsDeliveredPlusDroppedOnceDrained) {
     const NodeId from = traffic.next_below(4);
     NodeId to = traffic.next_below(3);
     if (to >= from) ++to;
-    net.send(from, to, 10, [] {});
+    send(net, from, to, 10);
     if (i == 1000) net.set_node_up(1, false);  // kills some in-flight
   }
   f.sched.run_until();
@@ -212,9 +249,9 @@ TEST(Network, TelemetryMirrorsStatsAndEmitsEvents) {
   net.set_node_up(1, false);     // no state change: no event
   net.set_node_up(1, true);      // net_outage: node_up
   net.heal_link(0, 2);           // net_outage: link_healed
-  net.send(0, 1, 100, [] {});
+  send(net, 0, 1, 100);
   net.fail_link(0, 2);
-  net.send(0, 2, 30, [] {});     // net_drop: link_failed
+  send(net, 0, 2, 30);           // net_drop: link_failed
   f.sched.run_until();
   log.flush();
 
@@ -246,49 +283,48 @@ TEST(Network, PartitionBlocksCrossGroupTraffic) {
   EXPECT_TRUE(net.partitioned());
   EXPECT_TRUE(net.cross_partition(0, 2));
   EXPECT_FALSE(net.cross_partition(0, 1));
-  bool within = false;
-  EXPECT_TRUE(net.send(0, 1, 10, [&] { within = true; }));  // same group
-  EXPECT_FALSE(net.send(0, 2, 10, [] {}));                  // cross-group
+  PoolProbe within;
+  EXPECT_TRUE(send(net, 0, 1, 10, &within));  // same group
+  EXPECT_FALSE(send(net, 0, 2, 10));          // cross-group
   f.sched.run_until();
-  EXPECT_TRUE(within);
+  EXPECT_EQ(within.delivers, 1);
   EXPECT_EQ(net.stats().messages_dropped, 1u);
   net.clear_partition();
   EXPECT_FALSE(net.partitioned());
-  EXPECT_TRUE(net.send(0, 2, 10, [] {}));
+  EXPECT_TRUE(send(net, 0, 2, 10));
 }
 
 TEST(Network, PartitionOpeningMidFlightDropsWithReason) {
   Fixture f;
   auto net = f.make(2);
-  bool delivered = false;
-  std::string reason;
-  net.send(0, 1, 10, [&] { delivered = true; },
-           [&](const char* r) { reason = r; });
+  PoolProbe probe;
+  send(net, 0, 1, 10, &probe);
   net.set_partition({0, 1});  // splits while the message is in flight
   f.sched.run_until();
-  EXPECT_FALSE(delivered);
-  EXPECT_EQ(reason, "partitioned_in_flight");
+  EXPECT_EQ(probe.delivers, 0);
+  EXPECT_EQ(probe.reason, "partitioned_in_flight");
   EXPECT_EQ(net.stats().messages_dropped, 1u);
 }
 
 TEST(Network, OnDropReportsInFlightReceiverDeath) {
   Fixture f;
   auto net = f.make(2);
-  std::string reason;
-  net.send(0, 1, 10, [] {}, [&](const char* r) { reason = r; });
+  PoolProbe probe;
+  send(net, 0, 1, 10, &probe);
   net.set_node_up(1, false);
   f.sched.run_until();
-  EXPECT_EQ(reason, "receiver_down_in_flight");
+  EXPECT_EQ(probe.drops, 1);
+  EXPECT_EQ(probe.reason, "receiver_down_in_flight");
 }
 
 TEST(Network, DuplicationDeliversBonusCopies) {
   Fixture f;
   f.cfg.duplicate_probability = 1.0;
   auto net = f.make(2);
-  int deliveries = 0;
-  net.send(0, 1, 10, [&] { ++deliveries; });
+  PoolProbe probe;
+  send(net, 0, 1, 10, &probe);
   f.sched.run_until();
-  EXPECT_EQ(deliveries, 2);
+  EXPECT_EQ(probe.delivers, 2);
   const auto& s = net.stats();
   // The duplicate never perturbs the primary invariant.
   EXPECT_EQ(s.messages_sent, 1u);
@@ -302,11 +338,12 @@ TEST(Network, DuplicateCopyLossIsSilent) {
   Fixture f;
   f.cfg.duplicate_probability = 1.0;
   auto net = f.make(3);
-  int deliveries = 0;
-  net.send(0, 1, 10, [&] { ++deliveries; });
+  PoolProbe probe;
+  send(net, 0, 1, 10, &probe);
   net.set_node_up(1, false);  // kills both copies in flight
   f.sched.run_until();
-  EXPECT_EQ(deliveries, 0);
+  EXPECT_EQ(probe.delivers, 0);
+  EXPECT_EQ(probe.drops, 1);  // the copy's loss reports nothing
   const auto& s = net.stats();
   EXPECT_EQ(s.messages_dropped, 1u);  // only the primary is accounted
   EXPECT_EQ(s.messages_duplicated, 1u);
@@ -317,15 +354,13 @@ TEST(Network, CorruptionDropsAtDeliveryWithReason) {
   Fixture f;
   f.cfg.corrupt_probability = 1.0;
   auto net = f.make(2);
-  bool delivered = false;
-  std::string reason;
+  PoolProbe probe;
   // Corruption is decided at send time but bites at delivery: the send
   // itself succeeds (the bytes do travel).
-  EXPECT_TRUE(net.send(0, 1, 10, [&] { delivered = true; },
-                       [&](const char* r) { reason = r; }));
+  EXPECT_TRUE(send(net, 0, 1, 10, &probe));
   f.sched.run_until();
-  EXPECT_FALSE(delivered);
-  EXPECT_EQ(reason, "corrupted");
+  EXPECT_EQ(probe.delivers, 0);
+  EXPECT_EQ(probe.reason, "corrupted");
   EXPECT_EQ(net.stats().messages_corrupted, 1u);
   EXPECT_EQ(net.stats().messages_dropped, 1u);
 }
@@ -336,9 +371,8 @@ TEST(Network, ZeroProbabilityKnobsPreserveRngStream) {
   Fixture f;
   f.cfg.jitter = 1.0;
   auto baseline = f.make(2);
-  std::vector<double> times_a;
-  for (int i = 0; i < 50; ++i)
-    baseline.send(0, 1, 1, [&] { times_a.push_back(f.sched.now()); });
+  PoolProbe a{&f.sched};
+  for (int i = 0; i < 50; ++i) send(baseline, 0, 1, 1, &a);
   f.sched.run_until();
 
   Fixture g;
@@ -346,11 +380,11 @@ TEST(Network, ZeroProbabilityKnobsPreserveRngStream) {
   g.cfg.duplicate_probability = 0.0;
   g.cfg.corrupt_probability = 0.0;
   auto knobs = g.make(2);
-  std::vector<double> times_b;
-  for (int i = 0; i < 50; ++i)
-    knobs.send(0, 1, 1, [&] { times_b.push_back(g.sched.now()); });
+  PoolProbe b{&g.sched};
+  for (int i = 0; i < 50; ++i) send(knobs, 0, 1, 1, &b);
   g.sched.run_until();
-  EXPECT_EQ(times_a, times_b);
+  EXPECT_EQ(a.deliver_times.size(), 50u);
+  EXPECT_EQ(a.deliver_times, b.deliver_times);
 }
 
 TEST(Network, ZeroJitterConsumesNoRandomness) {
@@ -363,38 +397,12 @@ TEST(Network, ZeroJitterConsumesNoRandomness) {
   f.cfg.loss_probability = 0.3;
   auto net = f.make(2);
   std::vector<bool> sent(200);
-  for (int i = 0; i < 200; ++i) sent[i] = net.send(0, 1, 1, [] {});
+  for (int i = 0; i < 200; ++i) sent[i] = send(net, 0, 1, 1);
   f.sched.run_until();
   Rng replay(1);  // same seed the fixture hands the network
   for (int i = 0; i < 200; ++i)
     EXPECT_EQ(sent[i], !replay.next_bool(0.3)) << "send " << i;
 }
-
-/// Pooled-path probe: counts callback firings and snapshots payload bytes.
-struct PoolProbe {
-  int delivers = 0, drops = 0, releases = 0;
-  std::vector<std::byte> last;
-  std::string reason;
-
-  static void on_deliver(void* c, std::span<const std::byte> p, NodeId,
-                         NodeId) {
-    auto* s = static_cast<PoolProbe*>(c);
-    ++s->delivers;
-    s->last.assign(p.begin(), p.end());
-  }
-  static void on_drop(void* c, std::span<const std::byte> p, NodeId, NodeId,
-                      const char* r) {
-    auto* s = static_cast<PoolProbe*>(c);
-    ++s->drops;
-    s->reason = r;
-    s->last.assign(p.begin(), p.end());
-  }
-  static void on_release(void* c) { ++static_cast<PoolProbe*>(c)->releases; }
-
-  Network::PooledSend sink() {
-    return Network::PooledSend{&on_deliver, &on_drop, &on_release, this};
-  }
-};
 
 TEST(Network, PooledSendDeliversPayloadBytes) {
   Fixture f;
@@ -436,9 +444,8 @@ TEST(Network, PooledSendInFlightDropFiresDropHookOnce) {
 }
 
 TEST(Network, PooledSendTimeDropReleasesWithoutCallbacks) {
-  // Send-time drops report through the return value only (mirroring the
-  // closure API); the release hook still fires exactly once so the caller
-  // can reclaim its context.
+  // Send-time drops report through the return value only; the release
+  // hook still fires exactly once so the caller can reclaim its context.
   Fixture f;
   auto net = f.make(2);
   net.fail_link(0, 1);
@@ -475,7 +482,7 @@ TEST(Network, MessagePoolReachesSteadyState) {
   Fixture f;
   auto net = f.make(2);
   for (int i = 0; i < 500; ++i) {
-    net.send(0, 1, 16, [] {});
+    send(net, 0, 1, 16);
     f.sched.run_until();
   }
   EXPECT_EQ(net.pool().slab_size(), 1u);
@@ -483,14 +490,20 @@ TEST(Network, MessagePoolReachesSteadyState) {
   EXPECT_EQ(net.pool().live(), 0u);
 }
 
-TEST(Network, LegacySendCountsOneItemPerMessage) {
+TEST(Network, PooledSendSumsDeclaredItemsAcrossMessages) {
+  // Items are what each send declares, summed over messages, whatever the
+  // byte size; a dropped message's items land in items_dropped.
   Fixture f;
-  auto net = f.make(2);
-  net.send(0, 1, 100, [] {});
-  net.send(0, 1, 50, [] {});
+  auto net = f.make(3);
+  net.fail_link(0, 2);
+  EXPECT_TRUE(net.send_pooled(0, 1, 100, 1, net.acquire_payload(0), {}));
+  EXPECT_TRUE(net.send_pooled(0, 1, 50, 3, net.acquire_payload(0), {}));
+  EXPECT_FALSE(net.send_pooled(0, 2, 50, 2, net.acquire_payload(0), {}));
   f.sched.run_until();
-  EXPECT_EQ(net.stats().items_sent, 2u);
-  EXPECT_EQ(net.stats().items_delivered, 2u);
+  EXPECT_EQ(net.stats().items_sent, 6u);
+  EXPECT_EQ(net.stats().items_delivered, 4u);
+  EXPECT_EQ(net.stats().items_dropped, 2u);
+  EXPECT_EQ(net.stats().messages_sent, 3u);
 }
 
 using NetworkDeathTest = Fixture;
@@ -501,8 +514,8 @@ TEST(NetworkDeathTest, OutOfRangeNodeAbortsLoudly) {
   // NDEBUG strips assert().
   Fixture f;
   auto net = f.make(2);
-  EXPECT_DEATH(net.send(0, 5, 1, [] {}), "out of range");
-  EXPECT_DEATH(net.send(7, 0, 1, [] {}), "out of range");
+  EXPECT_DEATH(send(net, 0, 5, 1), "out of range");
+  EXPECT_DEATH(send(net, 7, 0, 1), "out of range");
   EXPECT_DEATH(net.set_node_up(2, false), "out of range");
   EXPECT_DEATH(net.is_node_up(9), "out of range");
 }
@@ -517,11 +530,13 @@ TEST(Network, JitterBoundsDeliveryTime) {
   Fixture f;
   f.cfg.jitter = 2.0;
   auto net = f.make(2);
+  PoolProbe probe{&f.sched};
   for (int i = 0; i < 100; ++i) {
-    double at = -1.0;
-    net.send(0, 1, 1, [&] { at = f.sched.now(); });
+    send(net, 0, 1, 1, &probe);
     const double sent_at = f.sched.now();
     f.sched.run_until();
+    ASSERT_EQ(probe.deliver_times.size(), static_cast<std::size_t>(i + 1));
+    const double at = probe.deliver_times.back();
     ASSERT_GE(at, sent_at + 1.0);
     ASSERT_LT(at, sent_at + 3.0);
   }

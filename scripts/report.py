@@ -17,6 +17,9 @@ log and summarizes it per event type:
 With --group, numeric fields of the selected event type are aggregated
 per group key; e.g. grouping `cycle` records by (n, epsilon) reproduces
 the Figure 3 table (mean gossip_steps per cell) from the log alone.
+Every `cycle` record must satisfy the wire identities
+zero_components_skipped == messages_sent*n - triplets_sent and
+active_triplets <= n^2.
 
 Mirrored causal-trace records (`trace` / `probe`, written when a bench
 runs with both --telemetry and --trace) get extra validation: --check
@@ -106,6 +109,28 @@ def validate_probe_field_fields(obj):
             return f"probe_field record: missing/invalid '{key}'"
     if obj.get("field") not in PROBE_FIELD_NAMES:
         return f"probe_field record: unknown field {obj.get('field')!r}"
+    return None
+
+
+def validate_cycle_fields(obj):
+    """Schema check for a gossip `cycle` record (engine or fig3 bench).
+
+    VectorGossip computes on dense rows and puts only nonzero pairs on the
+    wire, so the two sparsity figures are derived, never counted: every
+    message carries n pairs of which `triplets_sent` are nonzero, and the
+    dense state holds at most n components per node.
+    """
+    keys = ("n", "messages_sent", "triplets_sent", "active_triplets",
+            "zero_components_skipped")
+    for key in keys:
+        if not _is_id(obj.get(key)):
+            return f"cycle record: missing/invalid '{key}'"
+    n, sent, triplets, active, skipped = (obj[k] for k in keys)
+    if skipped != sent * n - triplets:
+        return (f"cycle record: zero_components_skipped {skipped} != "
+                f"messages_sent*n - triplets_sent = {sent * n - triplets}")
+    if active > n * n:
+        return f"cycle record: active_triplets {active} > n^2 = {n * n}"
     return None
 
 
@@ -270,8 +295,8 @@ def load(path):
     Each record must be a JSON object with an `event` string, a numeric
     `ts`, and a non-negative integer `seq`.  Blank lines are invalid: the
     writer never emits them, so one indicates truncation or corruption.
-    Mirrored causal-trace records (`trace` / `probe`) additionally get
-    their type-specific schemas enforced.
+    Mirrored causal-trace records (`trace` / `probe`) and gossip `cycle`
+    records additionally get their type-specific schemas enforced.
     """
     records, errors = [], []
     try:
@@ -314,6 +339,8 @@ def load(path):
                 schema_error = validate_serve_health_fields(obj)
             elif obj["event"] == "slow_frame":
                 schema_error = validate_slow_frame_fields(obj)
+            elif obj["event"] == "cycle":
+                schema_error = validate_cycle_fields(obj)
             elif obj["event"] == "attack":
                 schema_error = validate_attack_fields(obj)
             elif obj["event"] == "attack_campaign":

@@ -1,7 +1,6 @@
 #include "bloom/bloom_filter.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -58,68 +57,6 @@ bool BloomFilter::contains(std::uint64_t key) const {
     if (!(words_[pos / 64] & (std::uint64_t{1} << (pos % 64)))) return false;
   }
   return true;
-}
-
-void BloomFilter::clear() { std::fill(words_.begin(), words_.end(), 0); }
-
-std::size_t BloomFilter::popcount() const noexcept {
-  std::size_t c = 0;
-  for (const auto w : words_) c += static_cast<std::size_t>(std::popcount(w));
-  return c;
-}
-
-double BloomFilter::estimated_fpr() const noexcept {
-  const double fill = static_cast<double>(popcount()) / static_cast<double>(bits_);
-  return std::pow(fill, static_cast<double>(hashes_));
-}
-
-void BloomFilter::merge(const BloomFilter& other) {
-  if (other.bits_ != bits_ || other.hashes_ != hashes_)
-    throw std::invalid_argument("BloomFilter::merge: incompatible geometry");
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-}
-
-CountingBloomFilter::CountingBloomFilter(std::size_t counters, std::size_t hashes)
-    : hashes_(std::max<std::size_t>(hashes, 1)),
-      counters_(std::max<std::size_t>(counters, 1), 0) {}
-
-std::pair<std::uint64_t, std::uint64_t> CountingBloomFilter::base_hashes(
-    std::uint64_t key) const {
-  const std::uint64_t h1 = mix64(key ^ kSeed1);
-  std::uint64_t h2 = mix64(key ^ kSeed2);
-  h2 |= 1;
-  return {h1, h2};
-}
-
-void CountingBloomFilter::insert(std::uint64_t key) {
-  const auto [h1, h2] = base_hashes(key);
-  for (std::size_t i = 0; i < hashes_; ++i) {
-    auto& c = counters_[(h1 + i * h2) % counters_.size()];
-    if (c < 255) ++c;  // saturate rather than overflow
-  }
-}
-
-void CountingBloomFilter::remove(std::uint64_t key) {
-  const auto [h1, h2] = base_hashes(key);
-  // First verify membership so removing an absent key cannot corrupt
-  // other keys' counters.
-  if (!contains(key)) return;
-  for (std::size_t i = 0; i < hashes_; ++i) {
-    auto& c = counters_[(h1 + i * h2) % counters_.size()];
-    if (c > 0 && c < 255) --c;  // saturated counters are stuck (standard CBF caveat)
-  }
-}
-
-bool CountingBloomFilter::contains(std::uint64_t key) const {
-  const auto [h1, h2] = base_hashes(key);
-  for (std::size_t i = 0; i < hashes_; ++i) {
-    if (counters_[(h1 + i * h2) % counters_.size()] == 0) return false;
-  }
-  return true;
-}
-
-void CountingBloomFilter::clear() {
-  std::fill(counters_.begin(), counters_.end(), 0);
 }
 
 }  // namespace gt::bloom

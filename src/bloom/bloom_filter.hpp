@@ -4,8 +4,8 @@
 // GossipTrust's innovations: instead of n explicit <node_id, score> pairs,
 // a node keeps a handful of Bloom filters, one per score bucket, and
 // membership tests recover a peer's (quantized) score. This header
-// provides the standard and counting filters; score_store.hpp builds the
-// bucketed reputation store on top.
+// provides the filter; score_store.hpp builds the bucketed reputation
+// store on top.
 #pragma once
 
 #include <cstddef>
@@ -28,50 +28,15 @@ class BloomFilter {
 
   void insert(std::uint64_t key);
   bool contains(std::uint64_t key) const;
-  void clear();
 
   std::size_t bit_count() const noexcept { return bits_; }
   std::size_t hash_count() const noexcept { return hashes_; }
   std::size_t storage_bytes() const noexcept { return words_.size() * 8; }
 
-  /// Number of set bits.
-  std::size_t popcount() const noexcept;
-
-  /// Predicted false-positive rate from the current fill ratio:
-  /// (set_bits / m)^k.
-  double estimated_fpr() const noexcept;
-
-  /// Bitwise union with a compatible filter (same geometry).
-  void merge(const BloomFilter& other);
-
  private:
   std::size_t bits_;
   std::size_t hashes_;
   std::vector<std::uint64_t> words_;
-
-  std::pair<std::uint64_t, std::uint64_t> base_hashes(std::uint64_t key) const;
-};
-
-/// Counting Bloom filter with 8-bit saturating counters; supports remove,
-/// which plain filters cannot (needed when reputation scores move between
-/// buckets across aggregation rounds).
-class CountingBloomFilter {
- public:
-  CountingBloomFilter(std::size_t counters, std::size_t hashes);
-
-  void insert(std::uint64_t key);
-  /// Decrements the key's counters (no-op on zero counters to stay safe
-  /// against removing a never-inserted key).
-  void remove(std::uint64_t key);
-  bool contains(std::uint64_t key) const;
-  void clear();
-
-  std::size_t counter_count() const noexcept { return counters_.size(); }
-  std::size_t storage_bytes() const noexcept { return counters_.size(); }
-
- private:
-  std::size_t hashes_;
-  std::vector<std::uint8_t> counters_;
 
   std::pair<std::uint64_t, std::uint64_t> base_hashes(std::uint64_t key) const;
 };

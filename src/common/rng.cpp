@@ -69,12 +69,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::next_between(std::int64_t lo, std::int64_t hi) noexcept {
-  assert(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 double Rng::next_double() noexcept {
   // 53 high-quality bits -> [0, 1).
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
@@ -107,15 +101,6 @@ double Rng::next_gaussian() noexcept {
   return r * std::cos(theta);
 }
 
-double Rng::next_exponential(double lambda) noexcept {
-  assert(lambda > 0.0);
-  double u = 0.0;
-  do {
-    u = next_double();
-  } while (u <= 0.0);
-  return -std::log(u) / lambda;
-}
-
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::size_t k) {
   assert(k <= n);
   // Floyd's algorithm keeps memory proportional to k for large n.
@@ -137,10 +122,6 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::siz
     out.push_back(t);
   }
   return out;
-}
-
-Rng Rng::fork() noexcept {
-  return Rng(next_u64() ^ 0xa0761d6478bd642fULL);
 }
 
 }  // namespace gt

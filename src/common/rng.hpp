@@ -62,9 +62,6 @@ class Rng {
   /// Uniform integer in [0, bound). Debiased via Lemire's method.
   std::uint64_t next_below(std::uint64_t bound) noexcept;
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t next_between(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// Uniform double in [0, 1).
   double next_double() noexcept;
 
@@ -77,9 +74,6 @@ class Rng {
   /// Standard normal via Box–Muller (cached second value).
   double next_gaussian() noexcept;
 
-  /// Exponential with rate lambda (> 0).
-  double next_exponential(double lambda) noexcept;
-
   /// Fisher–Yates shuffle of an index container.
   template <typename T>
   void shuffle(std::vector<T>& v) noexcept {
@@ -91,9 +85,6 @@ class Rng {
 
   /// Sample k distinct indices from [0, n) (k <= n), order unspecified.
   std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);
-
-  /// Fork an independent stream (e.g. one per simulated node).
-  Rng fork() noexcept;
 
  private:
   std::array<std::uint64_t, 4> s_{};

@@ -197,9 +197,10 @@ CycleStats GossipTrustEngine::run_cycle(const trust::SparseMatrix& s,
   stats.messages_sent = *snap.counter("gossip.messages_sent");
   stats.messages_lost = *snap.counter("gossip.messages_lost");
   stats.triplets_sent = *snap.counter("gossip.triplets_sent");
-  stats.active_triplets =
-      static_cast<std::uint64_t>(*snap.gauge("gossip.active_triplets"));
-  stats.zero_components_skipped = *snap.counter("gossip.zero_components_skipped");
+  // The sparsity figures are derived, not counted: what the dense state
+  // holds, and the zero pairs the pushes left off the wire.
+  stats.active_triplets = gres.active_triplets;
+  stats.zero_components_skipped = stats.messages_sent * n_ - stats.triplets_sent;
   stats.send_phase_seconds = snap.histogram("gossip.send_phase_seconds")->sum;
   stats.bookkeeping_phase_seconds =
       snap.histogram("gossip.bookkeeping_phase_seconds")->sum;

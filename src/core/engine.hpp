@@ -58,11 +58,11 @@ struct CycleStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_lost = 0;
   std::uint64_t triplets_sent = 0;
-  std::uint64_t active_triplets = 0;          ///< live (x,w) components at cycle end
-  std::uint64_t zero_components_skipped = 0;  ///< structural zeros never gossiped
+  std::uint64_t active_triplets = 0;          ///< (x,w) components held: live nodes * n
+  std::uint64_t zero_components_skipped = 0;  ///< messages_sent * n - triplets_sent
   double send_phase_seconds = 0.0;            ///< route/bucket/gather wall time,
                                               ///< gather's fused residual sweep included
-  double bookkeeping_phase_seconds = 0.0;     ///< support-gauge publish wall time
+  double bookkeeping_phase_seconds = 0.0;     ///< convergence-verdict wall time
   double readout_seconds = 0.0;               ///< consensus read-out wall time
   double change_from_previous = 0.0;  ///< mean relative error vs previous V
 };

@@ -1,7 +1,5 @@
 #include "core/qos_qof.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "common/stats.hpp"
@@ -41,19 +39,6 @@ std::vector<double> compute_qof(const trust::FeedbackLedger& ledger,
                (2.0 * static_cast<double>(comparable));
   }
   return qof;
-}
-
-std::vector<double> combine_scores(std::span<const double> qos,
-                                   std::span<const double> qof, double theta) {
-  if (qos.size() != qof.size())
-    throw std::invalid_argument("combine_scores: size mismatch");
-  if (theta < 0.0 || theta > 1.0)
-    throw std::invalid_argument("combine_scores: theta must be in [0, 1]");
-  std::vector<double> out(qos.size());
-  for (std::size_t i = 0; i < qos.size(); ++i)
-    out[i] = std::pow(std::max(qos[i], 0.0), theta) *
-             std::pow(std::max(qof[i], 0.0), 1.0 - theta);
-  return out;
 }
 
 QofAggregationResult qof_weighted_aggregation(const trust::FeedbackLedger& ledger,

@@ -13,7 +13,6 @@
 //     colluder who rates its gang 1 and everyone else 0 claims
 //     gang > honest on every cross pair — exactly the pairs the consensus
 //     refutes — and scores near 0, while honest raters score near 1.
-//   * combine_scores: geometric blend QoS^theta * QoF^(1-theta).
 //   * qof_weighted_aggregation: robust re-aggregation where each rater's
 //     voting weight is damped by its QoF, alternated with QoF refreshes —
 //     dishonest raters progressively lose influence.
@@ -37,10 +36,6 @@ namespace gt::core {
 std::vector<double> compute_qof(const trust::FeedbackLedger& ledger,
                                 std::span<const double> global_scores,
                                 std::size_t max_rated = 128);
-
-/// Geometric blend of the two scores; theta = 1 reduces to pure QoS.
-std::vector<double> combine_scores(std::span<const double> qos,
-                                   std::span<const double> qof, double theta);
 
 /// Outcome of the robust dual-score aggregation.
 struct QofAggregationResult {

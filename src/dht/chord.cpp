@@ -1,7 +1,6 @@
 #include "dht/chord.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -63,11 +62,6 @@ bool ChordRing::in_interval(Key x, Key a, Key b) noexcept {
   if (a < b) return x > a && x <= b;
   if (a > b) return x > a || x <= b;
   return true;  // a == b: the interval is the whole ring
-}
-
-NodeId ChordRing::finger(NodeId node, std::size_t i) const {
-  assert(node < fingers_.size() && i < kFingerBits);
-  return fingers_[node][i];
 }
 
 LookupResult ChordRing::lookup(NodeId start, Key key) const {

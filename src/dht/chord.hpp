@@ -50,9 +50,6 @@ class ChordRing {
   /// `key`, counting hops. Matches successor() on the owner.
   LookupResult lookup(NodeId start, Key key) const;
 
-  /// The i-th finger of a node (owner of position + 2^i).
-  NodeId finger(NodeId node, std::size_t i) const;
-
   static constexpr std::size_t kFingerBits = 64;
 
  private:

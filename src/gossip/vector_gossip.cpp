@@ -24,10 +24,6 @@ VectorGossip::VectorGossip(std::size_t n, PushSumConfig config, ThreadPool* pool
       inbox_w_(simd::padded_size(n * n), 0.0),
       prev_ratio_(simd::padded_size(n * n), kNaN),
       stable_count_(n, 0),
-      active_(n),
-      next_active_(n),
-      dense_(n, 0),
-      next_dense_(n, 0),
       target_(n, kNoTarget),
       delivered_(n, 0),
       keep_(n, 1.0),
@@ -55,9 +51,6 @@ VectorGossip::VectorGossip(std::size_t n, PushSumConfig config, ThreadPool* pool
     owned_pool_ = std::make_unique<ThreadPool>(config_.num_threads);
     pool_ = owned_pool_.get();
   }
-  scratch_.resize(lanes());
-  for (auto& sc : scratch_) sc.mark.assign(n_, 0);
-  chunk_active_.assign(lanes(), 0);
 
   // One registry lane per worker lane; phase timings land in log-bucket
   // histograms spanning ~30ns .. ~30s.
@@ -65,8 +58,6 @@ VectorGossip::VectorGossip(std::size_t n, PushSumConfig config, ThreadPool* pool
   c_sent_ = metrics_->counter("gossip.messages_sent");
   c_lost_ = metrics_->counter("gossip.messages_lost");
   c_triplets_ = metrics_->counter("gossip.triplets_sent");
-  c_skipped_ = metrics_->counter("gossip.zero_components_skipped");
-  g_active_ = metrics_->gauge("gossip.active_triplets");
   telemetry::HistogramOptions phase_buckets{3e-8, 2.0, 30};
   h_send_ = metrics_->histogram("gossip.send_phase_seconds", phase_buckets);
   h_book_ = metrics_->histogram("gossip.bookkeeping_phase_seconds", phase_buckets);
@@ -90,8 +81,7 @@ void VectorGossip::set_trace(trace::TraceSink* sink, double base_time,
 VectorGossip::CounterTotals VectorGossip::counter_totals() const noexcept {
   return CounterTotals{metrics_->counter_value(c_sent_),
                        metrics_->counter_value(c_lost_),
-                       metrics_->counter_value(c_triplets_),
-                       metrics_->counter_value(c_skipped_)};
+                       metrics_->counter_value(c_triplets_)};
 }
 
 void VectorGossip::for_chunks(std::size_t count, std::size_t num_chunks,
@@ -141,14 +131,6 @@ void VectorGossip::initialize(const trust::SparseMatrix& s, std::span<const doub
   std::fill(inbox_w_.begin(), inbox_w_.end(), 0.0);
   std::fill(prev_ratio_.begin(), prev_ratio_.end(), kNaN);
   std::fill(stable_count_.begin(), stable_count_.end(), 0);
-  std::fill(dense_.begin(), dense_.end(), 0);
-  std::fill(next_dense_.begin(), next_dense_.end(), 0);
-  for (NodeId i = 0; i < n_; ++i) {
-    // Release, not clear: a reused kernel would otherwise pin every list's
-    // high-water capacity across runs.
-    std::vector<NodeId>().swap(active_[i]);
-    std::vector<NodeId>().swap(next_active_[i]);
-  }
   streams_seeded_ = false;  // next step derives fresh per-node streams
   metrics_->reset();        // counters and timers cover this run only
 
@@ -159,25 +141,11 @@ void VectorGossip::initialize(const trust::SparseMatrix& s, std::span<const doub
     const auto entries = s.row(i);
     if (entries.empty()) {
       // Dangling rater: its reputation mass spreads uniformly, the same
-      // rule SparseMatrix::transpose_multiply applies. The row starts (and
-      // stays) structurally dense.
+      // rule SparseMatrix::transpose_multiply applies.
       const double share = v[i] * uniform;
       for (NodeId j = 0; j < n_; ++j) xi[j] = share;
-      dense_[i] = 1;
     } else {
-      bool has_diagonal = false;
-      auto& act = active_[i];
-      act.reserve(entries.size() + 1);
-      for (const auto& e : entries) {
-        xi[e.col] = e.value * v[i];
-        act.push_back(e.col);
-        has_diagonal |= (e.col == i);
-      }
-      if (!has_diagonal) act.push_back(i);
-      if (act.size() == n_) {
-        dense_[i] = 1;
-        act.clear();
-      }
+      for (const auto& e : entries) xi[e.col] = e.value * v[i];
     }
     row_w(i)[i] = 1.0;  // only node j holds the consensus factor for j
   }
@@ -267,19 +235,14 @@ void VectorGossip::route_phase(const graph::Graph* overlay) {
         if (adv_withholds(i)) {
           const double h = lost ? 1.0 : 0.5;
           ctr.triplets += (h * xi[i] != 0.0 || h * wi[i] != 0.0) ? 1 : 0;
-        } else if (lost && dense_[i]) {
-          ctr.triplets += kn_->count_nonzero_pair(xi, wi, 1.0, n_);
         } else if (lost) {
-          for (const NodeId j : active_[i])
-            ctr.triplets += (xi[j] != 0.0 || wi[j] != 0.0) ? 1 : 0;
+          ctr.triplets += kn_->count_nonzero_pair(xi, wi, 1.0, n_);
         }
-        if (!dense_[i]) ctr.skipped += n_ - active_[i].size();
       }
     }
     metrics_->add(c_sent_, ctr.sent, c);
     metrics_->add(c_lost_, ctr.lost, c);
     metrics_->add(c_triplets_, ctr.triplets, c);
-    metrics_->add(c_skipped_, ctr.skipped, c);
   });
 }
 
@@ -303,15 +266,9 @@ void VectorGossip::gather_phase() {
   const bool masked = !alive_.empty();
   const std::size_t chunks = std::min(lanes(), n_);
   for_chunks(n_, chunks, [&](std::size_t b, std::size_t e, std::size_t chunk) {
-    UnionScratch& sc = scratch_[chunk];
     std::uint64_t triplets = 0;  // delivered payloads folded by this chunk
-    std::uint64_t active = 0;    // support of this chunk's next rows
     for (NodeId r = b; r < e; ++r) {
-      if (masked && !alive_[r]) {
-        next_dense_[r] = 0;
-        next_active_[r].clear();
-        continue;  // dead rows stay identically zero in both buffers
-      }
+      if (masked && !alive_[r]) continue;  // dead rows stay zero in both buffers
       const double keep = keep_[r];
       const double* xr = row_x(r);
       const double* wr = row_w(r);
@@ -320,125 +277,38 @@ void VectorGossip::gather_phase() {
       const std::size_t sb = in_off_[r];
       const std::size_t se = in_off_[r + 1];
 
-      // A withholding receiver that pushed this step (keep == 0.5) only
-      // parted with its own component; the withheld halves stay whole.
-      const bool self_wh = adv_withholds(r) && keep != 1.0;
-
-      bool out_dense = dense_[r] != 0;
-      for (std::size_t k = sb; k < se && !out_dense; ++k) {
-        const NodeId s = in_senders_[k];
-        // A withholding sender contributes one component, never density.
-        out_dense = dense_[s] != 0 && !adv_withholds(s);
-      }
-
-      // Every delivered share is folded as px = 0.5*x, pw = 0.5*w and
-      // counted as payload when either half is nonzero (the same predicate
-      // simd::Kernels::count_nonzero_pair applies). Withholding senders'
-      // single component was already counted by route_phase.
-      if (out_dense) {
-        // Contiguous fast path once any contributing row has densified:
-        // vector kernels sweep whole rows. The initial assignment also
-        // overwrites whatever the stale inbox buffer held, so no separate
-        // clearing sweep is needed.
-        if (self_wh) {
-          std::copy_n(xr, n_, nx);  // withheld halves stay whole
-          std::copy_n(wr, n_, nw);
-          nx[r] = keep * xr[r];
-          nw[r] = keep * wr[r];
-        } else {
-          kn_->scale_assign(nx, xr, keep, n_);
-          kn_->scale_assign(nw, wr, keep, n_);
-        }
-        for (std::size_t k = sb; k < se; ++k) {
-          const NodeId s = in_senders_[k];
-          const double* xs = row_x(s);
-          const double* ws = row_w(s);
-          if (adv_withholds(s)) {
-            nx[s] += 0.5 * xs[s];
-            nw[s] += 0.5 * ws[s];
-          } else if (dense_[s]) {
-            triplets += kn_->accumulate_pair_count(nx, nw, xs, ws, 0.5, n_);
-          } else {
-            for (const NodeId j : active_[s]) {
-              const double px = 0.5 * xs[j];
-              const double pw = 0.5 * ws[j];
-              triplets += (px != 0.0 || pw != 0.0) ? 1 : 0;
-              nx[j] += px;
-              nw[j] += pw;
-            }
-          }
-        }
-        next_dense_[r] = 1;
-        next_active_[r].clear();
+      // The keep-half assignment overwrites whatever the stale inbox row
+      // held, so no separate clearing sweep is needed. A withholding
+      // receiver that pushed this step (keep == 0.5) only parted with its
+      // own component; the withheld halves stay whole.
+      if (adv_withholds(r) && keep != 1.0) {
+        std::copy_n(xr, n_, nx);
+        std::copy_n(wr, n_, nw);
+        nx[r] = keep * xr[r];
+        nw[r] = keep * wr[r];
       } else {
-        // Sparse union gather: first touch of a component assigns (which
-        // doubles as clearing the stale inbox slot), later touches add.
-        // Senders fold in ascending id, so the accumulation order per
-        // component is a pure function of the data — never of threads.
-        auto& out = next_active_[r];
-        out.clear();
-        const std::uint64_t stamp = ++sc.stamp;
-        if (self_wh) {
-          for (const NodeId j : active_[r]) {
-            sc.mark[j] = stamp;
-            out.push_back(j);
-            const double kj = j == r ? keep : 1.0;
-            nx[j] = kj * xr[j];
-            nw[j] = kj * wr[j];
-          }
+        kn_->scale_assign(nx, xr, keep, n_);
+        kn_->scale_assign(nw, wr, keep, n_);
+      }
+      // Every delivered share is folded as px = 0.5*x, pw = 0.5*w, senders
+      // in ascending id so each component's accumulation order is a pure
+      // function of the data, and counted as payload when either half is
+      // nonzero (the predicate simd::Kernels::count_nonzero_pair applies).
+      // A withholding sender's single component was counted by route_phase.
+      for (std::size_t k = sb; k < se; ++k) {
+        const NodeId s = in_senders_[k];
+        const double* xs = row_x(s);
+        const double* ws = row_w(s);
+        if (adv_withholds(s)) {
+          nx[s] += 0.5 * xs[s];
+          nw[s] += 0.5 * ws[s];
         } else {
-          for (const NodeId j : active_[r]) {
-            sc.mark[j] = stamp;
-            out.push_back(j);
-            nx[j] = keep * xr[j];
-            nw[j] = keep * wr[j];
-          }
-        }
-        for (std::size_t k = sb; k < se; ++k) {
-          const NodeId s = in_senders_[k];
-          const double* xs = row_x(s);
-          const double* ws = row_w(s);
-          if (adv_withholds(s)) {
-            // Own component only (always in s's active set: the consensus
-            // factor seeds the diagonal).
-            if (sc.mark[s] != stamp) {
-              sc.mark[s] = stamp;
-              out.push_back(s);
-              nx[s] = 0.5 * xs[s];
-              nw[s] = 0.5 * ws[s];
-            } else {
-              nx[s] += 0.5 * xs[s];
-              nw[s] += 0.5 * ws[s];
-            }
-            continue;
-          }
-          for (const NodeId j : active_[s]) {
-            const double px = 0.5 * xs[j];
-            const double pw = 0.5 * ws[j];
-            triplets += (px != 0.0 || pw != 0.0) ? 1 : 0;
-            if (sc.mark[j] != stamp) {
-              sc.mark[j] = stamp;
-              out.push_back(j);
-              nx[j] = px;
-              nw[j] = pw;
-            } else {
-              nx[j] += px;
-              nw[j] += pw;
-            }
-          }
-        }
-        if (out.size() == n_) {
-          next_dense_[r] = 1;
-          out.clear();
-        } else {
-          next_dense_[r] = 0;
+          triplets += kn_->accumulate_pair_count(nx, nw, xs, ws, 0.5, n_);
         }
       }
 
-      // Gossip-layer liars: scale the *received* own-component x share.
-      // The sender's fold above already first-touched component s (the
-      // diagonal is always active), so this is a pure adjustment — it
-      // mints (c-1) * half-share of counterfeit x mass per delivery.
+      // Gossip-layer liars: scale the *received* own-component x share,
+      // minting (c-1) * half-share of counterfeit x mass per delivery.
       if (!adv_scale_.empty()) {
         for (std::size_t k = sb; k < se; ++k) {
           const NodeId s = in_senders_[k];
@@ -447,73 +317,60 @@ void VectorGossip::gather_phase() {
         }
       }
 
-      active += track_row(r, nx, nw);
+      track_row(r, nx, nw);
     }
     metrics_->add(c_triplets_, triplets, chunk);
-    chunk_active_[chunk] = active;
   });
 }
 
-std::size_t VectorGossip::track_row(NodeId r, const double* x,
-                                    const double* w) {
+void VectorGossip::track_row(NodeId r, const double* x, const double* w) {
   // Local convergence bookkeeping (Algorithm 1 line 14, per component) on
   // row r's next state, run by gather while the row is still in L1. Only
   // live nodes get here, and only components owned by live peers can ever
   // hold a defined ratio (the owner seeds the consensus factor); a node is
   // stable only once every owned component is defined and has moved by at
-  // most epsilon — so any owned component still missing from the active
-  // set keeps the node unstable without a dense sweep.
-  const std::uint8_t* alive = alive_.empty() ? nullptr : alive_.data();
-  const std::size_t owned_total = alive != nullptr ? alive_list_.size() : n_;
+  // most epsilon.
   double* prev = prev_ratio_.data() + r * n_;
   bool stable = true;
-  std::size_t owned_seen = 0;
-  auto visit = [&](NodeId j) {
-    if (alive != nullptr && !alive[j]) return;  // unowned component
-    ++owned_seen;
-    if (w[j] <= kWeightFloor) {
-      prev[j] = kNaN;
-      stable = false;
-      return;
-    }
-    const double ratio = x[j] / w[j];
-    if (std::isnan(prev[j]) || std::abs(ratio - prev[j]) > config_.epsilon)
-      stable = false;
-    prev[j] = ratio;
-  };
-  std::size_t support = 0;
-  if (next_dense_[r]) {
-    support = n_;
-    if (alive == nullptr) {
-      // Unmasked dense rows take the vector kernel: identical branch
-      // semantics per element (see simd::Kernels::residual_nan), and
-      // every component is owned, so owned_seen is trivially n.
-      owned_seen = n_;
-      if (!kn_->residual_nan(x, w, prev, kWeightFloor, config_.epsilon, n_))
-        stable = false;
-    } else {
-      for (NodeId j = 0; j < n_; ++j) visit(j);
-    }
+  if (alive_.empty()) {
+    // Every component is owned: the vector kernel applies the same
+    // per-element branches (see simd::Kernels::residual_nan).
+    stable = kn_->residual_nan(x, w, prev, kWeightFloor, config_.epsilon, n_);
   } else {
-    support = next_active_[r].size();
-    for (const NodeId j : next_active_[r]) visit(j);
+    for (NodeId j = 0; j < n_; ++j) {
+      if (!alive_[j]) continue;  // unowned component
+      if (w[j] <= kWeightFloor) {
+        prev[j] = kNaN;
+        stable = false;
+        continue;
+      }
+      const double ratio = x[j] / w[j];
+      if (std::isnan(prev[j]) || std::abs(ratio - prev[j]) > config_.epsilon)
+        stable = false;
+      prev[j] = ratio;
+    }
   }
-  if (owned_seen < owned_total) stable = false;
   stable_count_[r] = stable ? stable_count_[r] + 1 : 0;
-  return support;
 }
 
-void VectorGossip::bookkeeping_phase(VectorGossipResult& result) {
-  // The convergence sweep itself ran inside gather (track_row); what is
-  // left is publishing the step's support snapshot. Chunk totals are
-  // integers, so the sum is independent of chunk completion order.
-  std::uint64_t total = 0;
-  for (const std::uint64_t a : chunk_active_) total += a;
-  result.active_triplets = total;
-  metrics_->set(g_active_, static_cast<double>(total));
+bool VectorGossip::bookkeeping_phase(VectorGossipResult& result) const {
+  // The residual sweep itself ran inside gather (track_row); what is left
+  // is the run's convergence verdict and the two sparsity figures, which
+  // are derived rather than counted: the dense state holds n components
+  // per live node, and every push leaves its zero pairs off the wire.
+  const bool masked = !alive_.empty();
+  const std::size_t live = masked ? alive_list_.size() : n_;
+  result.active_triplets = static_cast<std::uint64_t>(live) * n_;
+  result.zero_components_skipped =
+      result.messages_sent * n_ - result.triplets_sent;
+  for (std::size_t si = 0; si < live; ++si) {
+    const NodeId i = masked ? alive_list_[si] : si;
+    if (stable_count_[i] < config_.stable_rounds) return false;
+  }
+  return true;
 }
 
-void VectorGossip::step(Rng& rng, const graph::Graph* overlay,
+bool VectorGossip::step(Rng& rng, const graph::Graph* overlay,
                         VectorGossipResult& result) {
   if (!streams_seeded_) seed_streams(rng.next_u64());
   // Counter partials land in the registry lanes during the phases; the
@@ -527,24 +384,18 @@ void VectorGossip::step(Rng& rng, const graph::Graph* overlay,
     gather_phase();
     x_.swap(inbox_x_);
     w_.swap(inbox_w_);
-    active_.swap(next_active_);
-    dense_.swap(next_dense_);
-  }
-  {
-    telemetry::ScopedTimer timer(*metrics_, h_book_, 0,
-                                 &result.bookkeeping_phase_seconds);
-    bookkeeping_phase(result);
   }
   const CounterTotals after = counter_totals();
   result.messages_sent += after.sent - before.sent;
   result.messages_lost += after.lost - before.lost;
   result.triplets_sent += after.triplets - before.triplets;
-  result.zero_components_skipped += after.skipped - before.skipped;
+  telemetry::ScopedTimer timer(*metrics_, h_book_, 0,
+                               &result.bookkeeping_phase_seconds);
+  return bookkeeping_phase(result);
 }
 
 VectorGossipResult VectorGossip::run(Rng& rng, const graph::Graph* overlay) {
   VectorGossipResult result;
-  const bool masked = !alive_.empty();
   // Synchronous trace axis: step k of this run covers [base + k, base + k + 1).
   const bool traced = trace_ != nullptr;
   double trace_base = 0.0;
@@ -557,7 +408,7 @@ VectorGossipResult VectorGossip::run(Rng& rng, const graph::Graph* overlay) {
         trace_trace_id_ != 0 ? trace_trace_id_ : trace_->alloc_trace();
   }
   while (result.steps < config_.max_steps) {
-    step(rng, overlay, result);
+    const bool all_stable = step(rng, overlay, result);
     ++result.steps;
     if (traced) {
       const double t0 = trace_base + static_cast<double>(result.steps - 1);
@@ -607,15 +458,6 @@ VectorGossipResult VectorGossip::run(Rng& rng, const graph::Graph* overlay) {
           .field("messages_dropped", result.messages_lost)
           .field("triplets_sent", result.triplets_sent)
           .field("active_triplets", result.active_triplets);
-    }
-    bool all_stable = true;
-    const std::size_t count = masked ? alive_list_.size() : n_;
-    for (std::size_t si = 0; si < count; ++si) {
-      const NodeId i = masked ? alive_list_[si] : si;
-      if (stable_count_[i] < config_.stable_rounds) {
-        all_stable = false;
-        break;
-      }
     }
     if (all_stable) {
       result.converged = true;
@@ -669,20 +511,8 @@ std::vector<double> VectorGossip::consensus_means() const {
     k.assign(n_, 0);
     for (NodeId i = b; i < e; ++i) {
       if (!is_alive(i)) continue;
-      const double* xi = row_x(i);
-      const double* wi = row_w(i);
-      if (dense_[i]) {
-        // Elementwise masked kernel: same per-element predicate and
-        // division as the sparse visit below, no cross-element math.
-        kn_->ratio_accumulate(a.data(), k.data(), xi, wi, kWeightFloor, n_);
-      } else {
-        for (const NodeId j : active_[i]) {
-          if (wi[j] > kWeightFloor) {
-            a[j] += xi[j] / wi[j];
-            ++k[j];
-          }
-        }
-      }
+      kn_->ratio_accumulate(a.data(), k.data(), row_x(i), row_w(i),
+                            kWeightFloor, n_);
     }
   });
   std::vector<double> mean(n_, 0.0);

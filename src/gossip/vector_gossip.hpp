@@ -5,16 +5,14 @@
 //   v_j(t+1) = sum_i v_i(t) * s_ij
 // are gossiped concurrently. Per gossip step each node halves its whole
 // reputation vector, keeps one half, and pushes the other to one random
-// node, so a step costs one message of O(active components) triplets.
+// node, so a step costs one message per node.
 //
-// Storage is two dense row-major n x n matrices (X[i][j], W[i][j]) for O(1)
-// component access, but the kernel never sweeps dense rows blindly: each
-// node keeps the list of its *active* components (seeded from its
-// SparseMatrix row plus the consensus-factor diagonal, grown by set union
-// on receive), and all per-step work — halving, payload accounting,
-// convergence bookkeeping, the consensus read-out — walks only those lists
-// until a row actually densifies (after which it flips to a contiguous
-// dense fast path with no index indirection).
+// Compute is dense, the wire is sparse. Algorithm 2 ends with every node
+// holding the whole vector, so the state is two row-major n x n matrices
+// (X[i][j], W[i][j]) and every step sweeps whole rows with the vector
+// kernels. A push puts only its nonzero (x, w) pairs on the wire:
+// `triplets_sent` counts those, and the zero pairs a push leaves off are
+// derived, not counted (messages_sent * n - triplets_sent).
 //
 // The step itself is organised as three node-partitioned phases over a
 // gt::ThreadPool, and reads each dense row once:
@@ -30,11 +28,11 @@
 //                (simd::Kernels::accumulate_pair_count), then runs the
 //                row's convergence bookkeeping (residual sweep and stable
 //                count) while the freshly written row is still in L1.
-// What remains of the bookkeeping phase publishes the step's support
-// gauge; the residual sweep's time is therefore part of the send phase.
-// Because every floating-point accumulation order is fixed by node ids and
-// never by scheduling, results are bit-identical for any thread count,
-// including the serial num_threads == 1 path.
+// What remains of the bookkeeping phase is the run's convergence verdict
+// over the per-node stable counts; the residual sweep's time is part of
+// the send phase. Because every floating-point accumulation order is fixed
+// by node ids and never by scheduling, results are bit-identical for any
+// thread count, including the serial num_threads == 1 path.
 #pragma once
 
 #include <cstddef>
@@ -63,11 +61,13 @@ struct VectorGossipResult {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_lost = 0;
   std::uint64_t triplets_sent = 0;  ///< payload volume: nonzero entries pushed
-  std::uint64_t active_triplets = 0;          ///< live (x,w) components after the last step
-  std::uint64_t zero_components_skipped = 0;  ///< structurally-zero sends skipped, summed over steps
+  /// (x,w) components the dense state holds: live nodes * n.
+  std::uint64_t active_triplets = 0;
+  /// Zero pairs pushes left off the wire: messages_sent * n - triplets_sent.
+  std::uint64_t zero_components_skipped = 0;
   double send_phase_seconds = 0.0;  ///< route + bucket + gather wall time,
                                     ///< the fused residual sweep included
-  double bookkeeping_phase_seconds = 0.0;  ///< support-gauge publish time
+  double bookkeeping_phase_seconds = 0.0;  ///< convergence-verdict time
 };
 
 /// Synchronous-round vector push-sum over n nodes and n components.
@@ -93,11 +93,10 @@ class VectorGossip {
   /// Initializes component j on node i per Algorithm 2 lines 5-10:
   ///   x_i^{(j)} = s_ij * v_i,   w_i^{(j)} = [i == j].
   /// Rows of S with no feedback ("dangling" raters) act as uniform rows
-  /// 1/n, matching SparseMatrix::transpose_multiply's dangling rule. Also
-  /// seeds the per-node active-component lists from the sparse rows. May be
+  /// 1/n, matching SparseMatrix::transpose_multiply's dangling rule. May be
   /// called again to start a fresh run on the same instance: all state,
   /// the metrics registry included, is reset (participants and adversary
-  /// settings are kept), and the active lists' capacity is released.
+  /// settings are kept).
   void initialize(const trust::SparseMatrix& s, std::span<const double> v);
 
   /// Runs gossip steps until every node's full vector is epsilon-stable for
@@ -108,8 +107,9 @@ class VectorGossip {
   /// One synchronous gossip step. The first step after initialize() draws
   /// one u64 from `rng` as the base of the per-node RNG streams
   /// (mix64(base, i)); afterwards `rng` is never consulted, which is what
-  /// makes the step thread-count invariant.
-  void step(Rng& rng, const graph::Graph* overlay, VectorGossipResult& result);
+  /// makes the step thread-count invariant. Returns true once every live
+  /// node has been epsilon-stable for `stable_rounds` consecutive steps.
+  bool step(Rng& rng, const graph::Graph* overlay, VectorGossipResult& result);
 
   std::size_t num_nodes() const noexcept { return n_; }
 
@@ -123,9 +123,8 @@ class VectorGossip {
 
   /// System-wide consensus read-out: component j's mean of the defined
   /// per-node estimates (0 when nobody holds evidence about j — including
-  /// every component owned by a departed peer). Walks only active
-  /// components and runs across the pool on a fixed chunk grid, so the
-  /// result is bit-identical for any thread count.
+  /// every component owned by a departed peer). Runs across the pool on a
+  /// fixed chunk grid, so the result is bit-identical for any thread count.
   std::vector<double> consensus_means() const;
 
   /// Mass-conservation invariants (property tests): column sums of X and W.
@@ -142,17 +141,10 @@ class VectorGossip {
   /// Informational only — every level computes bit-identical results.
   simd::SimdLevel simd_level() const noexcept { return simd_level_; }
 
-  /// Active (potentially nonzero) component count on node i: n for a
-  /// densified row, the active-list length otherwise.
-  std::size_t active_components(NodeId i) const {
-    return dense_[i] ? n_ : active_[i].size();
-  }
-
   /// The kernel's metrics registry: the per-phase counters and timers
   /// behind VectorGossipResult (counters `gossip.messages_sent`,
-  /// `gossip.messages_lost`, `gossip.triplets_sent`,
-  /// `gossip.zero_components_skipped`; gauge `gossip.active_triplets`;
-  /// histograms `gossip.send_phase_seconds`,
+  /// `gossip.messages_lost`, `gossip.triplets_sent`; histograms
+  /// `gossip.send_phase_seconds`,
   /// `gossip.bookkeeping_phase_seconds` observed once per step). Worker
   /// lanes are merged on read, so a snapshot is always consistent between
   /// steps; initialize() resets it, so it covers the current run only.
@@ -204,8 +196,8 @@ class VectorGossip {
   void route_phase(const graph::Graph* overlay);
   void bucket_phase();
   void gather_phase();
-  std::size_t track_row(NodeId r, const double* x, const double* w);
-  void bookkeeping_phase(VectorGossipResult& result);
+  void track_row(NodeId r, const double* x, const double* w);
+  bool bookkeeping_phase(VectorGossipResult& result) const;
 
   std::size_t n_ = 0;
   PushSumConfig config_;
@@ -230,12 +222,6 @@ class VectorGossip {
   const simd::Kernels* kn_ = nullptr;  // kernel set for simd_level_
   std::vector<std::size_t> stable_count_;  // per node
 
-  // Sparsity bookkeeping: per-node active component lists, double-buffered
-  // across a step (phase C reads senders' current lists while writing its
-  // own next list). dense_[i] set => the list is implicit [0, n).
-  std::vector<std::vector<NodeId>> active_, next_active_;
-  std::vector<std::uint8_t> dense_, next_dense_;
-
   // Per-node deterministic RNG streams (seeded lazily from the caller Rng).
   std::vector<Rng> node_rng_;
   bool streams_seeded_ = false;
@@ -248,27 +234,17 @@ class VectorGossip {
   std::vector<std::size_t> in_off_;     // n + 1 offsets into in_senders_
   std::vector<NodeId> in_senders_;      // delivered senders, ascending per receiver
 
-  // Per-chunk union markers for the sparse gather (stamp-versioned so they
-  // never need clearing between receivers).
-  struct UnionScratch {
-    std::vector<std::uint64_t> mark;
-    std::uint64_t stamp = 0;
-  };
-  mutable std::vector<UnionScratch> scratch_;
-  std::vector<std::uint64_t> chunk_active_;  // per-lane support, last gather
-
   // Telemetry: per-lane counter partials live in the registry (each worker
   // lane adds its chunk totals into its own lane; reads merge lanes in
   // fixed order). CounterTotals snapshots the merged values so step() can
   // report per-step deltas in the caller's result struct.
   struct CounterTotals {
-    std::uint64_t sent = 0, lost = 0, triplets = 0, skipped = 0;
+    std::uint64_t sent = 0, lost = 0, triplets = 0;
   };
   CounterTotals counter_totals() const noexcept;
 
   std::unique_ptr<telemetry::MetricsRegistry> metrics_;
-  telemetry::Counter c_sent_, c_lost_, c_triplets_, c_skipped_;
-  telemetry::Gauge g_active_;
+  telemetry::Counter c_sent_, c_lost_, c_triplets_;
   telemetry::Histogram h_send_, h_book_;
   telemetry::EventLog* events_ = nullptr;
   std::size_t step_sample_every_ = 0;

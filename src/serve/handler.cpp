@@ -1,6 +1,7 @@
 #include "serve/handler.hpp"
 
 #include <chrono>
+#include <cmath>
 
 namespace gt::serve {
 
@@ -124,6 +125,7 @@ bool ConnectionHandler::handle_frame(const FrameParser::Frame& frame,
       f.rater = get_u64(p);
       f.ratee = get_u64(p + 8);
       f.value = get_f64(p + 16);
+      if (!std::isfinite(f.value)) return false;  // NaN would poison the ledger
       store_.enqueue_feedback(f);
       encode_ingest_resp(out, store_.feedback_enqueued());
       m_.registry->add(m_.ingests, 1, lane_);

@@ -41,13 +41,6 @@ std::vector<PeerProfile> make_population(const ThreatConfig& cfg, Rng& rng) {
   return peers;
 }
 
-std::vector<std::size_t> malicious_indices(const std::vector<PeerProfile>& peers) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < peers.size(); ++i)
-    if (peers[i].type != PeerType::kHonest) out.push_back(i);
-  return out;
-}
-
 std::vector<double> service_qualities(const std::vector<PeerProfile>& peers) {
   std::vector<double> q(peers.size());
   for (std::size_t i = 0; i < peers.size(); ++i) q[i] = peers[i].service_quality;

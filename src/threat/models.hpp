@@ -47,9 +47,6 @@ struct ThreatConfig {
 /// configured size.
 std::vector<PeerProfile> make_population(const ThreatConfig& cfg, Rng& rng);
 
-/// Indices of malicious peers in a population.
-std::vector<std::size_t> malicious_indices(const std::vector<PeerProfile>& peers);
-
 /// Per-peer service-quality vector.
 std::vector<double> service_qualities(const std::vector<PeerProfile>& peers);
 

@@ -32,7 +32,9 @@ class FeedbackLedger {
   std::size_t num_feedbacks() const noexcept { return count_; }
 
   /// Records one rating; clamps value into [0, 1]. Self-ratings ignored —
-  /// s_ii must stay 0 or a peer could vote for itself.
+  /// s_ii must stay 0 or a peer could vote for itself. Throws
+  /// std::out_of_range for a bad peer id and std::invalid_argument for a
+  /// NaN value, leaving the ledger unchanged.
   void record(NodeId rater, NodeId ratee, double value);
 
   /// Raw accumulated score r_ij (0 when never rated).

@@ -130,12 +130,18 @@ TEST(AttackGossip, WithholderConservesEveryColumn) {
   gossip.set_adversary({}, withhold);
   gossip.initialize(s, v);
   Rng rng(42);
-  gossip.run(rng);
+  const auto res = gossip.run(rng);
 
   for (NodeId j = 0; j < n; ++j)
     EXPECT_NEAR(gossip.column_x_mass(j), exact[j], 1e-9)
         << "withholding must starve mixing, not destroy mass (col " << j
         << ")";
+  // Every push leaves its zero pairs off the wire, and a withholder ships
+  // one component, so each of its pushes skips at least n - 1.
+  const std::uint64_t n64 = n;
+  EXPECT_EQ(res.zero_components_skipped,
+            res.messages_sent * n64 - res.triplets_sent);
+  EXPECT_GE(res.zero_components_skipped, 2 * res.steps * (n64 - 1));
 }
 
 // Satellite: an AttackPlan layered on a crash+partition FaultPlan. The

@@ -67,22 +67,6 @@ TEST(ComputeQof, SizeAndArgumentValidation) {
                std::invalid_argument);
 }
 
-TEST(CombineScores, ThetaBlends) {
-  const std::vector<double> qos{0.04, 0.25};
-  const std::vector<double> qof{1.0, 0.25};
-  const auto pure_qos = combine_scores(qos, qof, 1.0);
-  EXPECT_DOUBLE_EQ(pure_qos[0], 0.04);
-  const auto pure_qof = combine_scores(qos, qof, 0.0);
-  EXPECT_DOUBLE_EQ(pure_qof[1], 0.25);
-  const auto geo = combine_scores(qos, qof, 0.5);
-  EXPECT_NEAR(geo[0], 0.2, 1e-12);  // sqrt(0.04 * 1.0)
-}
-
-TEST(CombineScores, RejectsBadTheta) {
-  EXPECT_THROW(combine_scores(std::vector<double>{1.0}, std::vector<double>{1.0}, 2.0),
-               std::invalid_argument);
-}
-
 trust::FeedbackLedger threat_ledger(std::size_t n, double malicious_frac,
                                     bool collusive,
                                     std::vector<threat::PeerProfile>& peers_out,

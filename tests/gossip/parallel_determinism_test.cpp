@@ -136,34 +136,32 @@ TEST(EngineThreadInvariance, AggregationScoresBitIdentical) {
 }
 
 TEST(SparsityAccounting, SkipsStructuralZerosAndGrowsSupport) {
-  // A sparse matrix must actually exercise the skip path: early steps hold
-  // far fewer active triplets than n*n, and skipped zero components are
-  // reported. One dense step would move n*n triplets per n messages.
+  // Compute is dense, the wire is not: on a sparse start a push carries
+  // only its nonzero (x, w) pairs, the zero pairs it leaves off are exactly
+  // messages * n - triplets, and the nonzero support grows as mixing
+  // spreads mass. One dense step would move n*n triplets per n messages.
   const std::size_t n = 200;
+  const std::uint64_t n64 = n;
   const auto s = make_matrix(n, 5);
   gossip::PushSumConfig cfg;
   gossip::VectorGossip vg(n, cfg);
   const std::vector<double> v(n, 1.0 / static_cast<double>(n));
   vg.initialize(s, v);
-  std::size_t initial_support = 0;
-  for (gossip::NodeId i = 0; i < n; ++i)
-    initial_support += vg.active_components(i);
-  EXPECT_LT(initial_support, n * n / 4);  // genuinely sparse start
 
   Rng rng(1);
-  gossip::VectorGossipResult res;
-  vg.step(rng, nullptr, res);
-  EXPECT_EQ(res.messages_sent, n);
-  EXPECT_GT(res.zero_components_skipped, 0u);
-  EXPECT_LT(res.triplets_sent, static_cast<std::uint64_t>(n) * n / 4);
-  EXPECT_GE(res.active_triplets, static_cast<std::uint64_t>(initial_support));
+  gossip::VectorGossipResult first;
+  vg.step(rng, nullptr, first);
+  EXPECT_EQ(first.messages_sent, n64);
+  EXPECT_LT(first.triplets_sent, n64 * n64 / 4);  // genuinely sparse wire
+  EXPECT_EQ(first.zero_components_skipped,
+            first.messages_sent * n64 - first.triplets_sent);
+  EXPECT_EQ(first.active_triplets, n64 * n64);  // the dense state
 
-  // Support only grows (set union), and the count matches the query API.
-  std::size_t support_after = 0;
-  for (gossip::NodeId i = 0; i < n; ++i)
-    support_after += vg.active_components(i);
-  EXPECT_EQ(support_after, res.active_triplets);
-  EXPECT_GE(support_after, initial_support);
+  gossip::VectorGossipResult second;
+  vg.step(rng, nullptr, second);
+  EXPECT_GT(second.triplets_sent, first.triplets_sent);
+  EXPECT_EQ(second.zero_components_skipped,
+            second.messages_sent * n64 - second.triplets_sent);
 }
 
 }  // namespace

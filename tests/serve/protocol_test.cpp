@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "serve/handler.hpp"
@@ -212,6 +213,25 @@ TEST_F(HandlerTest, IngestQueuesFeedback) {
   EXPECT_EQ(drained[0].rater, 1u);
   EXPECT_EQ(drained[0].ratee, 2u);
   EXPECT_DOUBLE_EQ(drained[0].value, 0.9);
+}
+
+TEST_F(HandlerTest, NonFiniteIngestIsMalformed) {
+  // A NaN rating would poison the (rater, ratee) sum in the ledger for
+  // good, so the frame is refused like a bad length: nothing is queued and
+  // the connection closes loudly.
+  LoopbackClient ok(store_, metrics_);
+  EXPECT_EQ(ok.ingest(1, 2, 0.9), 1u);
+  const std::uint64_t errors_before = errors();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    LoopbackClient c(store_, metrics_);
+    std::vector<std::uint8_t> frame;
+    encode_ingest(frame, 1, 2, bad);
+    EXPECT_FALSE(c.send_raw(frame.data(), frame.size())) << bad;
+    EXPECT_TRUE(c.closed()) << bad;
+  }
+  EXPECT_EQ(store_.feedback_enqueued(), 1u);
+  EXPECT_EQ(errors() - errors_before, 2u);
 }
 
 TEST_F(HandlerTest, StatsReflectsTraffic) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
+#include <stdexcept>
 
 namespace gt::bloom {
 namespace {
@@ -28,7 +28,6 @@ TEST(BloomFilter, FalsePositiveRateNearTarget) {
   for (std::uint64_t k = 0; k < probes; ++k) fp += f.contains(1000000 + k);
   const double rate = static_cast<double>(fp) / static_cast<double>(probes);
   EXPECT_LT(rate, 0.03);
-  EXPECT_NEAR(f.estimated_fpr(), rate, 0.02);
 }
 
 TEST(BloomFilter, WithCapacityChoosesSaneGeometry) {
@@ -41,31 +40,6 @@ TEST(BloomFilter, WithCapacityChoosesSaneGeometry) {
 TEST(BloomFilter, EmptyContainsNothing) {
   BloomFilter f(1024, 3);
   for (std::uint64_t k = 0; k < 100; ++k) EXPECT_FALSE(f.contains(k));
-  EXPECT_EQ(f.popcount(), 0u);
-  EXPECT_DOUBLE_EQ(f.estimated_fpr(), 0.0);
-}
-
-TEST(BloomFilter, ClearResets) {
-  BloomFilter f(1024, 3);
-  f.insert(42);
-  EXPECT_TRUE(f.contains(42));
-  f.clear();
-  EXPECT_FALSE(f.contains(42));
-}
-
-TEST(BloomFilter, MergeUnionsMembership) {
-  BloomFilter a(2048, 4), b(2048, 4);
-  a.insert(1);
-  b.insert(2);
-  a.merge(b);
-  EXPECT_TRUE(a.contains(1));
-  EXPECT_TRUE(a.contains(2));
-}
-
-TEST(BloomFilter, MergeRejectsIncompatible) {
-  BloomFilter a(1024, 3), b(2048, 3), c(1024, 4);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-  EXPECT_THROW(a.merge(c), std::invalid_argument);
 }
 
 TEST(BloomFilter, BitsRoundedUpToWord) {
@@ -74,52 +48,6 @@ TEST(BloomFilter, BitsRoundedUpToWord) {
   EXPECT_EQ(f.storage_bytes(), 16u);
   BloomFilter tiny(1, 1);
   EXPECT_EQ(tiny.bit_count(), 64u);
-}
-
-TEST(CountingBloom, InsertRemoveRoundTrip) {
-  CountingBloomFilter f(4096, 4);
-  f.insert(17);
-  EXPECT_TRUE(f.contains(17));
-  f.remove(17);
-  EXPECT_FALSE(f.contains(17));
-}
-
-TEST(CountingBloom, RemoveAbsentKeyHarmless) {
-  CountingBloomFilter f(4096, 4);
-  f.insert(1);
-  f.remove(999);  // never inserted; shares no guaranteed counters
-  EXPECT_TRUE(f.contains(1));
-}
-
-TEST(CountingBloom, DoubleInsertNeedsDoubleRemove) {
-  CountingBloomFilter f(4096, 4);
-  f.insert(5);
-  f.insert(5);
-  f.remove(5);
-  EXPECT_TRUE(f.contains(5));
-  f.remove(5);
-  EXPECT_FALSE(f.contains(5));
-}
-
-TEST(CountingBloom, ClearResets) {
-  CountingBloomFilter f(512, 3);
-  f.insert(9);
-  f.clear();
-  EXPECT_FALSE(f.contains(9));
-}
-
-TEST(CountingBloom, ManyKeysNoFalseNegatives) {
-  CountingBloomFilter f(8192, 4);
-  Rng rng(1);
-  std::vector<std::uint64_t> keys;
-  for (int i = 0; i < 500; ++i) keys.push_back(rng.next_u64());
-  for (const auto k : keys) f.insert(k);
-  for (const auto k : keys) EXPECT_TRUE(f.contains(k));
-  for (const auto k : keys) f.remove(k);
-  std::size_t still = 0;
-  for (const auto k : keys) still += f.contains(k);
-  // Removal may leave residue only via saturated counters; none expected here.
-  EXPECT_EQ(still, 0u);
 }
 
 }  // namespace

@@ -80,14 +80,6 @@ TEST(ChordRing, SelfLookupZeroHops) {
   }
 }
 
-TEST(ChordRing, FingerZeroIsImmediateSuccessor) {
-  const ChordRing ring(64, 9);
-  for (NodeId v = 0; v < 64; ++v) {
-    const NodeId succ = ring.successor(ring.position(v) + 1);
-    EXPECT_EQ(ring.finger(v, 0), succ);
-  }
-}
-
 TEST(ChordRing, SingleNodeOwnsEverything) {
   const ChordRing ring(1, 10);
   Rng rng(11);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace gt::trust {
 namespace {
 
@@ -23,6 +26,22 @@ TEST(FeedbackLedger, ClampsRatings) {
   EXPECT_DOUBLE_EQ(ledger.raw_score(0, 1), 1.0);
   ledger.record(0, 1, -3.0);
   EXPECT_DOUBLE_EQ(ledger.raw_score(0, 1), 1.0);
+}
+
+TEST(FeedbackLedger, NaNRatingThrowsAndLeavesLedgerUnchanged) {
+  FeedbackLedger ledger(4);
+  ledger.record(1, 2, 0.9);
+  ledger.record(1, 3, 0.1);
+  EXPECT_THROW(ledger.record(1, 2, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(ledger.record(1, 0, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(ledger.raw_score(1, 2), 0.9);
+  EXPECT_EQ(ledger.num_feedbacks(), 2u);
+  EXPECT_EQ(ledger.out_degree(1), 2u);
+  ledger.record(1, 2, 1.0);  // later honest ratings still accumulate
+  EXPECT_DOUBLE_EQ(ledger.raw_score(1, 2), 1.9);
+  EXPECT_EQ(ledger.raw_matrix().nonzeros(), 2u);
 }
 
 TEST(FeedbackLedger, IgnoresSelfRatings) {
